@@ -6,7 +6,10 @@ pass, 1 verification failure, 2 infeasible construction, 3 indeterminate
 certification, 64 usage error, 65 unreadable input data.
 
 The certified-arithmetic precision floor is 2^-E with E from the
-EQUISUM_PRECISION_FLOOR environment variable (default 200).
+EQUISUM_PRECISION_FLOOR environment variable (default 200, at most 4096).
+`sweep --jobs` is at most 256, and a sweep runs no more worker processes
+than there are CPUs or than half its pairs.  Values out of range are usage
+errors (exit 64).
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 ENV_PRECISION_FLOOR = "EQUISUM_PRECISION_FLOOR"
+# 2^-4096 is far below any decision this package reaches (they resolve near
+# 2^-23); the bound keeps 2**E from being asked for a huge integer.
+MAX_PRECISION_FLOOR_EXP = 4096
+MAX_JOBS = 256
 
 
 class _UsageError(Exception):
@@ -54,11 +61,12 @@ def _eps_floor_from_env() -> Fraction:
         return Fraction(1, 2**200)
     try:
         exp = int(raw)
-        if exp < 1:
+        if not 1 <= exp <= MAX_PRECISION_FLOOR_EXP:
             raise ValueError
     except ValueError:
         raise _UsageError(
-            f"{ENV_PRECISION_FLOOR} must be a positive integer exponent, got {raw!r}"
+            f"{ENV_PRECISION_FLOOR} must be an integer exponent in "
+            f"[1, {MAX_PRECISION_FLOOR_EXP}], got {raw!r}"
         ) from None
     return Fraction(1, 2**exp)
 
@@ -142,8 +150,8 @@ def cmd_sweep(args: argparse.Namespace, eps_floor: Fraction) -> int:
         raise _UsageError("sweep: need 2 <= a-min <= a-max")
     if args.b_max is not None and args.b_max < 2:
         raise _UsageError("sweep: --b-max must be >= 2")
-    if args.jobs < 1:
-        raise _UsageError("sweep: --jobs must be >= 1")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise _UsageError(f"sweep: --jobs must be in [1, {MAX_JOBS}]")
     t0 = time.perf_counter()
     report = run_sweep(args.a_min, args.a_max, b_max=args.b_max, eps_floor=eps_floor, jobs=args.jobs)
     text = emit_report_csv(report) if args.format == "csv" else emit_report_json(report)

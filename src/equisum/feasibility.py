@@ -14,7 +14,10 @@ That configuration exists iff
 
 with d_m^2 = m/(2m+2) the exact squared circumradius.  The d^2 factors are
 exact rationals, so deciding the inequality reduces to the certified sign
-of a rational combination of three square-root enclosures.
+of a rational combination of three square-root enclosures.  The sweep's
+decisions (the inequality and the threshold lemma) evaluate that
+combination on integers over one common denominator; the proof-step checks
+compose `Enclosure`s.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .realnum import (
     Sign,
     enclose_sqrt,
     sign_with_enclosure,
+    sqrt_bracket,
 )
 
 
@@ -115,9 +119,47 @@ def g_enclosure(c: int, eps: Fraction) -> Enclosure:
     return Enclosure.point(1) - enclose_sqrt(g_radicand(c), eps)
 
 
-def _d2_side(m: int) -> Fraction:
-    # m = -1 encodes the empty simplex of a beta = 0 pair: no side, no term.
-    return Fraction(0) if m < 0 else circumradius_sq(m)
+def _one_minus_sqrt_squared(q: Fraction, m: int) -> tuple[int, int, int]:
+    """(lo^2, hi^2, D^2) for the enclosure [lo, hi]/D of 1 - sqrt(q) that
+    `Enclosure.point(1) - enclose_sqrt(q, eps)` gives when m = ceil(1/eps).
+
+    Requires 0 <= q < 1: then the root's upper bracket is <= D, so lo >= 0
+    and squaring the endpoints squares the interval.
+    """
+    s_lo, s_hi, den = sqrt_bracket(q, m)
+    return (den - s_hi) ** 2, (den - s_lo) ** 2, den * den
+
+
+# Integer forms of f_enclosure and g_enclosure for the sweep.  They are
+# keyed on the integer accuracy m (2^(k+3) at schedule step eps = 2^-k), so a
+# lookup hashes integers: hashing a Fraction costs as much as the arithmetic.
+@lru_cache(maxsize=None)
+def _f_squared(n: int, m: int) -> tuple[int, int, int]:
+    return _one_minus_sqrt_squared(Fraction(n, n + 1), m)
+
+
+@lru_cache(maxsize=None)
+def _g_squared(c: int, m: int) -> tuple[int, int, int]:
+    return _one_minus_sqrt_squared(g_radicand(c), m)
+
+
+def _squares_margin(
+    g: tuple[int, int, int], terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
+) -> Enclosure:
+    """Enclosure of g^2 - sum of w f^2 over one common integer denominator.
+
+    g and each f are (lo^2, hi^2, D^2) of nonnegative enclosures; each term
+    is (num, den, f) with weight w = num/den >= 0.  The endpoints equal, as
+    rationals, those of the `Enclosure` composition g.square() minus each
+    f.square().scale(w); only the two final endpoints become Fractions.
+    """
+    lo, hi, den = g
+    for num, w_den, (f_lo, f_hi, f_den) in terms:
+        t = w_den * f_den
+        lo = lo * t - num * f_hi * den
+        hi = hi * t - num * f_lo * den
+        den *= t
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
@@ -125,16 +167,15 @@ def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
 
     Component enclosures are requested at eps/8; the squares and the exact
     rational scalings keep the combined width below eps for all arguments
-    this package evaluates.
+    this package evaluates.  d_m^2 = m/(2m+2), so d_{alpha-1}^2 is
+    (alpha-1)/(2 alpha); with beta in {0, 1} the second simplex is empty or
+    a point and has no term.
     """
-    e = eps / 8
-    d2_alpha = _d2_side(p.alpha - 1)
-    d2_beta = _d2_side(p.beta - 1)
-    margin = g_enclosure(p.c, e).square()
-    margin = margin - f_enclosure(p.c - 1, e).square().scale(d2_alpha)
-    if d2_beta:
-        margin = margin - f_enclosure(p.c, e).square().scale(d2_beta)
-    return margin
+    m = -(-8 * eps.denominator // eps.numerator)  # ceil(1/(eps/8))
+    terms = ((p.alpha - 1, 2 * p.alpha, _f_squared(p.c - 1, m)),)
+    if p.beta > 1:
+        terms += ((p.beta - 1, 2 * p.beta, _f_squared(p.c, m)),)
+    return _squares_margin(_g_squared(p.c, m), terms)
 
 
 def check_inequality(
@@ -213,9 +254,8 @@ def lemma_certificate(a: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR) -> 
         raise ValueError(f"lemma_certificate: a must be >= 2, got {a}")
 
     def margin(eps: Fraction) -> Enclosure:
-        e = eps / 8
-        lhs = f_enclosure(a - 1, e).square().scale(Fraction(a - 1, a + 1))
-        return g_enclosure(a, e).square() - lhs
+        m = -(-8 * eps.denominator // eps.numerator)  # components at eps/8
+        return _squares_margin(_g_squared(a, m), ((a - 1, a + 1, _f_squared(a - 1, m)),))
 
     sign, _ = sign_with_enclosure(margin, eps_floor)
     if sign is Sign.INDETERMINATE:

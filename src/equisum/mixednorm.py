@@ -10,6 +10,7 @@ magnitude larger.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -50,8 +51,8 @@ class PointSet:
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 1:
             raise ValueError(f"PointSet: dimensions must be positive, got a={self.a} b={self.b}")
-        if not self.lam > 0:
-            raise ValueError(f"PointSet: lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"PointSet: lambda must be positive and finite, got {self.lam}")
         for p in self.points:
             if p.x.shape != (self.a,) or p.y.shape != (self.b,):
                 raise ValueError(
@@ -139,10 +140,18 @@ def pointset_to_json(s: PointSet) -> str:
     return head + "\n  " + body + "\n]}\n"
 
 
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"non-finite number {token} in point set JSON")
+
+
 def pointset_from_json(text: str) -> PointSet:
-    """Parse the PointSet JSON format; raises ValueError on schema problems."""
+    """Parse the PointSet JSON format; raises ValueError on schema problems.
+
+    Python's json module accepts the non-standard tokens NaN, Infinity and
+    -Infinity; a point set never contains them, so they are rejected here.
+    """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

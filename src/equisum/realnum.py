@@ -9,6 +9,13 @@ made by shrinking enclosures until zero is excluded; only a true zero ever
 reaches the precision floor, and that is reported as Indeterminate rather
 than guessed.
 
+A square root is bracketed by one integer square root, on the grid of
+spacing 1/(d 2^j): sqrt(n/d) lies in [k, k+1]/(d 2^j) with k = isqrt(n d 4^j).
+This is the midpoint-radius idea of Arb (Johansson, IEEE TC 66(8), 2017)
+reduced to exact integers.  `sqrt_bracket` returns the integers, so that a
+caller can combine several roots over one common denominator and build a
+`Fraction` only for the result.
+
 No floating point is used anywhere in this module.
 """
 
@@ -30,6 +37,12 @@ Rational = Fraction
 # decision actually exercised by this package resolves far above it.
 DEFAULT_EPS_START = Fraction(1, 2**20)
 DEFAULT_EPS_FLOOR = Fraction(1, 2**200)
+
+
+def _fraction(value: Fraction | int) -> Fraction:
+    # Fraction(x) checks a Fraction argument against the numbers ABCs, which
+    # costs more than the rest of an enclosure's construction.
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class Sign(enum.Enum):
@@ -54,8 +67,8 @@ class Enclosure:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", _fraction(self.lo))
+        object.__setattr__(self, "hi", _fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"invalid enclosure: lo={self.lo} > hi={self.hi}")
 
@@ -113,38 +126,41 @@ class Enclosure:
         return f"Enclosure({self.lo}, {self.hi})"
 
 
+def sqrt_bracket(q: Fraction, m: int) -> tuple[int, int, int]:
+    """Integers (lo, hi, D) with lo/D <= sqrt(q) <= hi/D and D >= m >= 1.
+
+    D = d 2^j for q = n/d in lowest terms, with j >= 0 the smallest level at
+    which d 2^j >= m, so the bracket is the coarsest of the grids 1/(d 2^j)
+    that is at least as fine as 1/m.  lo = isqrt(n d 4^j), so lo/D is the
+    largest grid point whose square is <= q; hi = lo + 1, or hi = lo when q
+    is the square of a grid point.
+    """
+    if q < 0:
+        raise ValueError(f"sqrt_bracket: negative radicand {q}")
+    n, d = q.numerator, q.denominator
+    j = (-(-m // d) - 1).bit_length()  # smallest j >= 0 with 2^j >= ceil(m/d)
+    scaled = n * d << 2 * j
+    lo = isqrt(scaled)
+    return lo, lo if lo * lo == scaled else lo + 1, d << j
+
+
 def enclose_sqrt(q: Fraction | int, eps: Fraction | int) -> Enclosure:
     """Enclosure of sqrt(q) with nonnegative endpoints and width <= eps.
 
-    The bracket is seeded from an integer square root and refined by
-    bisection; both steps compare exact rationals, so the soundness
-    guarantee lo^2 <= q <= hi^2 holds without any rounding argument.
-    Perfect squares (including 0) collapse to a zero-width enclosure.
+    The enclosure is `sqrt_bracket` at m = ceil(1/eps): the grid 1/(d 2^j)
+    with the largest spacing <= eps, and on it the two neighbouring points
+    around the root.  Soundness, lo^2 <= q <= hi^2, is a property of the
+    integer square root, so it holds without any rounding argument.  This is
+    exactly the interval that bisecting [isqrt(nd)/d, (isqrt(nd)+1)/d] until
+    its width is <= eps would return.  Perfect squares (including 0) collapse
+    to a zero-width enclosure.
     """
     q = Fraction(q)
     eps = Fraction(eps)
-    if q < 0:
-        raise ValueError(f"enclose_sqrt: negative radicand {q}")
     if eps <= 0:
         raise ValueError(f"enclose_sqrt: eps must be positive, got {eps}")
-    if q == 0:
-        return Enclosure.point(0)
-
-    # sqrt(n/d) = sqrt(n*d)/d, so isqrt(n*d) brackets the root to width 1/d.
-    n, d = q.numerator, q.denominator
-    s = isqrt(n * d)
-    if s * s == n * d:
-        return Enclosure.point(Fraction(s, d))
-    lo = Fraction(s, d)
-    hi = Fraction(s + 1, d)
-
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid * mid <= q:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+    lo, hi, den = sqrt_bracket(q, -(-eps.denominator // eps.numerator))
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 def sign_with_enclosure(
@@ -160,15 +176,16 @@ def sign_with_enclosure(
     `eps_floor` with zero still inside, the answer is Indeterminate together
     with the final (tiny) enclosure as evidence.
     """
-    eps = Fraction(eps_start)
-    floor = Fraction(eps_floor)
+    eps = _fraction(eps_start)
+    floor = _fraction(eps_floor)
     if eps <= 0 or floor <= 0:
         raise ValueError("eps_start and eps_floor must be positive")
     while True:
         enc = value_at(eps)
-        if enc.lo > 0:
+        # a Fraction's denominator is positive: its sign is its numerator's
+        if enc.lo.numerator > 0:
             return Sign.POSITIVE, enc
-        if enc.hi < 0:
+        if enc.hi.numerator < 0:
             return Sign.NEGATIVE, enc
         if enc.width < floor:
             return Sign.INDETERMINATE, enc

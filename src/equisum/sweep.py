@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -105,8 +106,10 @@ def run_sweep(
     """Scan all pairs with a in [a_min, a_max] and a < b <= B.
 
     B is a^2 + a - 1 when b_max is None (everything beyond is covered by the
-    lemma and needs no records) or b_max when given explicitly.  The merge
-    is keyed on (a, b), so worker count never changes the report.
+    lemma and needs no records) or b_max when given explicitly.  At most
+    `jobs` worker processes run, and never more than the CPU count or half
+    the number of pairs.  The merge is keyed on (a, b), so worker count never
+    changes the report.
     """
     if not 2 <= a_min <= a_max:
         raise ValueError(f"run_sweep requires 2 <= a_min <= a_max, got [{a_min}, {a_max}]")
@@ -122,11 +125,13 @@ def run_sweep(
         if b_max is None or b_max >= a * a + a:
             lemma_relied.append(a)
 
-    if jobs == 1 or len(pairs) < 2 * jobs:
+    # a worker gets at least two pairs, or the pool costs more than it saves
+    workers = min(jobs, os.cpu_count() or 1, len(pairs) // 2)
+    if workers <= 1:
         records = [evaluate_pair(a, b, eps_floor) for a, b in pairs]
     else:
-        chunks = [(pairs[i::jobs], eps_floor) for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunks = [(pairs[i::workers], eps_floor) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_evaluate_chunk, chunks))
         records = [rec for part in parts for rec in part]
         records.sort(key=lambda r: (r.a, r.b))
