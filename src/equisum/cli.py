@@ -8,13 +8,16 @@ certification, 64 usage error, 65 unreadable input data.
 The certified-arithmetic precision floor is 2^-E with E from the
 EQUISUM_PRECISION_FLOOR environment variable (default 200, at most 4096).
 `sweep --jobs` is at most 256, and a sweep runs no more worker processes
-than there are CPUs or than half its pairs.  Values out of range are usage
-errors (exit 64).
+than there are CPUs or than half its pairs.  `construct` takes a + b of at
+most 1000: the set has a + b + 1 points of a + b coordinates, and at the
+bound construct then verify took 0.5 s and 1.7 s with peak RSS of 112 MB
+and 102 MB (a = 1, 2 CPUs).  Values out of range are usage errors (exit 64).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,6 +46,9 @@ ENV_PRECISION_FLOOR = "EQUISUM_PRECISION_FLOOR"
 # 2^-23); the bound keeps 2**E from being asked for a huge integer.
 MAX_PRECISION_FLOOR_EXP = 4096
 MAX_JOBS = 256
+# construct's a + b: the set is (a+b+1) x (a+b) floats, up to 25 bytes each
+# as JSON, and verify's time grows as (a+b)^3.
+MAX_CONSTRUCT_DIM = 1000
 
 
 class _UsageError(Exception):
@@ -92,6 +98,8 @@ def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
 def cmd_construct(args: argparse.Namespace, eps_floor: Fraction) -> int:
     if args.a < 1 or args.b < 1:
         raise _UsageError("construct: --a and --b must be >= 1")
+    if args.a + args.b > MAX_CONSTRUCT_DIM:
+        raise _UsageError(f"construct: --a plus --b must be at most {MAX_CONSTRUCT_DIM}")
     try:
         result = construct(args.a, args.b, eps_floor)
     except InfeasibleConstructionError as exc:
@@ -164,7 +172,10 @@ def cmd_sweep(args: argparse.Namespace, eps_floor: Fraction) -> int:
     return EXIT_OK if report.conclusive else EXIT_INDETERMINATE
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args returns a fresh Namespace and
+    # error() raises, so no state carries from one main() call to the next
     parser = _Parser(prog="equisum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

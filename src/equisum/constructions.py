@@ -29,8 +29,8 @@ from .feasibility import (
     classify,
     derive_parameters,
 )
-from .geometry import BlockLayout, circumradius_sq, place_in_block, regular_simplex
-from .mixednorm import MixedPoint, PointSet
+from .geometry import circumradius_sq, regular_simplex
+from .mixednorm import PointSet
 from .realnum import DEFAULT_EPS_FLOOR
 
 
@@ -65,11 +65,11 @@ def construct_prop1(b: int) -> ConstructionResult:
     """b + 2 equidistant points in E^1 (+)_1 E^b at distance 1."""
     if b < 1:
         raise ValueError(f"construct_prop1: b must be >= 1, got {b}")
-    simplex = regular_simplex(b + 1, 1.0, b)
-    origin_x = np.zeros(1)
-    points = [MixedPoint(origin_x, y) for y in simplex]
-    points.append(MixedPoint(np.array([1.0 - _d(b)]), np.zeros(b)))
-    ps = PointSet(a=1, b=b, lam=1.0, points=points, provenance=f"prop1(b={b})")
+    X = np.zeros((b + 2, 1))
+    Y = np.zeros((b + 2, b))
+    Y[: b + 1] = regular_simplex(b + 1, 1.0, b)
+    X[b + 1, 0] = 1.0 - _d(b)
+    ps = PointSet(a=1, b=b, lam=1.0, X=X, Y=Y, provenance=f"prop1(b={b})")
     return ConstructionResult(point_set=ps)
 
 
@@ -82,58 +82,52 @@ def construct_prop2(a: int) -> ConstructionResult:
     if a < 2:
         raise ValueError(f"construct_prop2: a must be >= 2, got {a}")
     side = 1.0 - 1.0 / math.sqrt(2.0)
-    vs = regular_simplex(a, side, a)
-    half_e = 0.5 * np.eye(a)
-    points = [MixedPoint(vs[i], half_e[i]) for i in range(a)]
-    points += [MixedPoint(vs[i], -half_e[i]) for i in range(a)]
+    X = np.zeros((2 * a + 1, a))
+    Y = np.zeros((2 * a + 1, a))
+    X[:a] = X[a : 2 * a] = regular_simplex(a, side, a)
+    Y[:a] = 0.5 * np.eye(a)
+    Y[a : 2 * a] = -Y[:a]  # the off-diagonal zeros become -0.0
     radicand = 0.25 - (side * _d(a - 1)) ** 2
     # positive for every a >= 2: (1 - 1/sqrt(2)) d_{a-1} < (1 - 1/sqrt(2))/sqrt(2) < 1/2
-    apex = np.zeros(a)
-    apex[a - 1] = math.sqrt(radicand)
-    points.append(MixedPoint(apex, np.zeros(a)))
-    ps = PointSet(a=a, b=a, lam=1.0, points=points, provenance=f"prop2(a={a})")
+    X[2 * a, a - 1] = math.sqrt(radicand)
+    ps = PointSet(a=a, b=a, lam=1.0, X=X, Y=Y, provenance=f"prop2(a={a})")
     return ConstructionResult(point_set=ps)
 
 
-def _second_factor_simplices(p: Parameters) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-block unit simplices embedded in E^b: alpha blocks of dim c-1
-    carrying c vertices each, then beta blocks of dim c carrying c+1."""
-    layout = BlockLayout((p.c - 1,) * p.alpha + (p.c,) * p.beta)
-    u_blocks = []
-    for i in range(p.alpha):
-        verts = regular_simplex(p.c, 1.0, p.c - 1)
-        u_blocks.append([place_in_block(v, layout, i) for v in verts])
-    v_blocks = []
-    for j in range(p.beta):
-        verts = regular_simplex(p.c + 1, 1.0, p.c)
-        v_blocks.append([place_in_block(v, layout, p.alpha + j) for v in verts])
-    return u_blocks, v_blocks
+def _second_factor_rows(p: Parameters, Y: np.ndarray) -> None:
+    """Write the per-block unit simplices of E^b into Y: alpha blocks of
+    dim c-1 carrying c vertices each, then beta blocks of dim c carrying
+    c+1, each block in its own rows and columns."""
+    c = p.c
+    row = col = 0
+    for count, verts in ((p.alpha, c), (p.beta, c + 1)):
+        simplex = regular_simplex(verts, 1.0, verts - 1) if count else None
+        for _ in range(count):
+            Y[row : row + verts, col : col + verts - 1] = simplex
+            row += verts
+            col += verts - 1
 
 
-def _first_factor_points(p: Parameters) -> tuple[list[np.ndarray], list[np.ndarray], float | None]:
-    """The w_i and z_j in E^a, case-split on beta exactly as the verdict
-    dispatch does; returns (ws, zs, zeta)."""
+def _first_factor_points(p: Parameters) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """The w_i and z_j in E^a as the rows of two arrays, case-split on beta
+    exactly as the verdict dispatch does; returns (ws, zs, zeta)."""
     a, c, alpha, beta = p.a, p.c, p.alpha, p.beta
     if beta == 0:
-        ws = list(regular_simplex(alpha, _f(c - 1), a))
-        return ws, [], None
+        return regular_simplex(alpha, _f(c - 1), a), np.zeros((0, a)), None
     if beta == 1:
-        simplex = regular_simplex(a, _f(c - 1), a - 1)
-        ws = [np.concatenate([v, [0.0]]) for v in simplex]
+        ws = regular_simplex(a, _f(c - 1), a)
         zeta = math.sqrt(_g(c) ** 2 - float(circumradius_sq(a - 1)) * _f(c - 1) ** 2)
-        z = np.zeros(a)
-        z[a - 1] = zeta
-        return ws, [z], zeta
+        zs = np.zeros((1, a))
+        zs[0, a - 1] = zeta
+        return ws, zs, zeta
     if beta == a:
-        simplex = regular_simplex(a, _f(c), a - 1)
-        zs = [np.concatenate([v, [0.0]]) for v in simplex]
+        zs = regular_simplex(a, _f(c), a)
         zeta = math.sqrt(_g(c) ** 2 - float(circumradius_sq(a - 1)) * _f(c) ** 2)
-        w = np.zeros(a)
-        w[a - 1] = zeta
-        return [w], zs, zeta
+        ws = np.zeros((1, a))
+        ws[0, a - 1] = zeta
+        return ws, zs, zeta
     # main case 2 <= beta <= a-1: E^a = E^{alpha-1} (+) E^{beta-1} (+) E^1
-    layout = BlockLayout((alpha - 1, beta - 1, 1))
-    ws = [place_in_block(v, layout, 0) for v in regular_simplex(alpha, _f(c - 1), alpha - 1)]
+    ws = regular_simplex(alpha, _f(c - 1), a)
     radicand = (
         _g(c) ** 2
         - float(circumradius_sq(alpha - 1)) * _f(c - 1) ** 2
@@ -142,8 +136,9 @@ def _first_factor_points(p: Parameters) -> tuple[list[np.ndarray], list[np.ndarr
     if radicand < 0:
         raise ValueError(f"zeta radicand negative ({radicand}) despite a holding verdict")
     zeta = math.sqrt(radicand)
-    zeta_vec = place_in_block(np.array([zeta]), layout, 2)
-    zs = [place_in_block(v, layout, 1) + zeta_vec for v in regular_simplex(beta, _f(c), beta - 1)]
+    zs = np.zeros((beta, a))
+    zs[:, alpha - 1 : a - 1] = regular_simplex(beta, _f(c), beta - 1)
+    zs[:, a - 1] = zeta
     return ws, zs, zeta
 
 
@@ -155,20 +150,23 @@ def construct_theorem(
     Raises InfeasibleConstructionError carrying the verdict when the
     certified inequality fails or cannot be separated from zero.
     """
-    verdict = classify(a, b, eps_floor)
+    return _build_theorem(a, b, classify(a, b, eps_floor))
+
+
+def _build_theorem(a: int, b: int, verdict: FeasibilityVerdict) -> ConstructionResult:
+    """The block construction for b > a >= 2 under the verdict of (a, b)."""
     if verdict.kind not in (VerdictKind.BETA_TRIVIAL, VerdictKind.INEQUALITY_HOLDS):
         raise InfeasibleConstructionError(verdict)
     p = verdict.params if verdict.params is not None else derive_parameters(a, b)
 
-    u_blocks, v_blocks = _second_factor_simplices(p)
     ws, zs, zeta = _first_factor_points(p)
-
-    points = [MixedPoint(ws[i], u) for i in range(p.alpha) for u in u_blocks[i]]
-    points += [MixedPoint(zs[j], v) for j in range(p.beta) for v in v_blocks[j]]
+    X = np.concatenate([np.repeat(ws, p.c, axis=0), np.repeat(zs, p.c + 1, axis=0)])
+    Y = np.zeros((a + b + 1, b))
+    _second_factor_rows(p, Y)
     provenance = (
         f"theorem(a={a},b={b},c={p.c},alpha={p.alpha},beta={p.beta})"
     )
-    ps = PointSet(a=a, b=b, lam=1.0, points=points, provenance=provenance)
+    ps = PointSet(a=a, b=b, lam=1.0, X=X, Y=Y, provenance=provenance)
     return ConstructionResult(point_set=ps, zeta=zeta, parameters=p)
 
 
@@ -178,7 +176,8 @@ def _swap(result: ConstructionResult) -> ConstructionResult:
         a=ps.b,
         b=ps.a,
         lam=ps.lam,
-        points=[MixedPoint(p.y, p.x) for p in ps.points],
+        X=ps.Y,
+        Y=ps.X,
         provenance=ps.provenance,
         swapped=not ps.swapped,
     )
@@ -202,4 +201,4 @@ def construct(
         return construct_prop2(a)
     if verdict.kind is VerdictKind.SWAP_AND_RECURSE:
         return _swap(construct(b, a, eps_floor))
-    return construct_theorem(a, b, eps_floor)
+    return _build_theorem(a, b, verdict)

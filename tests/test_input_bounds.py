@@ -1,5 +1,6 @@
 """Out-of-range input ends in a documented exit code before any work starts:
-non-finite point-set JSON (65), the precision exponent and --jobs (64)."""
+non-finite point-set JSON (65), construct's dimensions, the precision
+exponent and --jobs (64)."""
 
 import json
 
@@ -16,6 +17,11 @@ NAN_COORDINATE = (
     '{"a":1,"b":1,"lambda":2,"swapped":false,"provenance":"x",'
     '"points":[{"x":[0.0],"y":[NaN]},{"x":[1.0],"y":[1.0]}]}'
 )
+OVERFLOWING_COORDINATE = (
+    '{"a":1,"b":1,"lambda":2,"swapped":false,"provenance":"x",'
+    '"points":[{"x":[0.0],"y":[1e999]},{"x":[1.0],"y":[1e999]}]}'
+)
+FINITE_SET = NAN_COORDINATE.replace("NaN", "1.0").replace('"lambda":2', '"lambda":1')
 
 
 class TestNonFiniteJson:
@@ -35,11 +41,53 @@ class TestNonFiniteJson:
         with pytest.raises(ValueError, match="finite"):
             pointset_from_json(INFINITE_LAMBDA.replace("Infinity", "1e999"))
 
+    def test_overflowing_coordinate_exits_65(self, tmp_path, capsys):
+        # 1e999 is no token: json reads it as a float, which overflows to inf
+        with pytest.raises(ValueError, match="finite"):
+            pointset_from_json(OVERFLOWING_COORDINATE)
+        path = tmp_path / "s.json"
+        path.write_text(OVERFLOWING_COORDINATE)
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [('"a":1', '"a":1e999'), ('"a":1', '"a":1' + "0" * 400), ('"y":[1.0]', '"y":[1' + "0" * 400 + "]")],
+    )
+    def test_overflowing_number_exits_65(self, tmp_path, capsys, old, new):
+        # an integer literal too large for binary64 is as unreadable as 1e999
+        path = tmp_path / "s.json"
+        path.write_text(FINITE_SET.replace(old, new, 1))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().out == ""
+
     def test_finite_set_still_verifies(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(NAN_COORDINATE.replace("NaN", "1.0").replace('"lambda":2', '"lambda":1'))
         assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(a, b, eps_floor):
+    raise _Reached
+
+
+class TestConstructBound:
+    @pytest.mark.parametrize("a,b", [(1, 100_000_000), (1, cli.MAX_CONSTRUCT_DIM), (501, 500)])
+    def test_above_bound_exits_64_before_building(self, monkeypatch, capsys, a, b):
+        monkeypatch.setattr(cli, "construct", _reached)
+        assert cli.main(["construct", "--a", str(a), "--b", str(b)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("a,b", [(1, cli.MAX_CONSTRUCT_DIM - 1), (500, 500)])
+    def test_bound_itself_reaches_construct(self, monkeypatch, a, b):
+        monkeypatch.setattr(cli, "construct", _reached)
+        with pytest.raises(_Reached):
+            cli.main(["construct", "--a", str(a), "--b", str(b)])
 
 
 class TestPrecisionExponentBound:
