@@ -22,8 +22,8 @@ def show(a, b, print_points=False):
     if result.zeta is not None:
         print(f"offset zeta = {result.zeta:.6f}")
     if print_points:
-        for i, p in enumerate(ps.points):
-            print(f"  p{i}: x={p.x}  y={p.y}")
+        for i, (x, y) in enumerate(zip(ps.X, ps.Y)):
+            print(f"  p{i}: x={x}  y={y}")
     print(
         f"verified: {report.passed}   pairs={report.n_pairs}   "
         f"max |distance - 1| = {report.max_abs_deviation:.2e}"
@@ -32,11 +32,11 @@ def show(a, b, print_points=False):
 
 
 def distance_table(ps):
-    n = len(ps.points)
+    n = len(ps)
     print("pairwise distances:")
     for i in range(n):
         row = " ".join(
-            f"{mixed_distance(ps.points[i], ps.points[j]):.4f}" if i != j else "  .   "
+            f"{mixed_distance((ps.X[i], ps.Y[i]), (ps.X[j], ps.Y[j])):.4f}" if i != j else "  .   "
             for j in range(n)
         )
         print(f"  {row}")

@@ -2,99 +2,24 @@
 
 Explicit constructions of a+b+1 equidistant points in E^a (+)_1 E^b,
 binary64 verification, and certified exact-arithmetic decisions of the
-feasibility inequality that governs the main construction.
+feasibility inequality that governs the main construction.  The names
+below are the public API; everything else is importable from its module.
 """
 
-from .constructions import (
-    ConstructionResult,
-    InfeasibleConstructionError,
-    construct,
-    construct_prop1,
-    construct_prop2,
-    construct_theorem,
-)
-from .feasibility import (
-    FeasibilityVerdict,
-    IndeterminateSignError,
-    Parameters,
-    VerdictKind,
-    check_inequality,
-    classify,
-    derive_parameters,
-    f_enclosure,
-    g_enclosure,
-    lemma_applies,
-    lemma_certificate,
-)
-from .geometry import BlockLayout, circumradius_sq, place_in_block, regular_simplex
-from .mixednorm import (
-    MixedPoint,
-    PointSet,
-    VerificationReport,
-    mixed_distance,
-    pointset_from_json,
-    pointset_to_json,
-    verify_equilateral,
-)
-from .realnum import (
-    DEFAULT_EPS_FLOOR,
-    DEFAULT_EPS_START,
-    Enclosure,
-    Rational,
-    Sign,
-    certified_sign,
-    enclose_sqrt,
-    sign_with_enclosure,
-)
-from .sweep import (
-    SweepRecord,
-    SweepReport,
-    emit_report_csv,
-    emit_report_json,
-    parse_report_json,
-    run_sweep,
-)
+from .constructions import construct
+from .feasibility import check_inequality, derive_parameters
+from .mixednorm import mixed_distance, verify_equilateral
+from .realnum import Enclosure, Sign, enclose_sqrt, sign_with_enclosure
+from .sweep import run_sweep
 
 __all__ = [
-    "BlockLayout",
-    "ConstructionResult",
-    "DEFAULT_EPS_FLOOR",
-    "DEFAULT_EPS_START",
     "Enclosure",
-    "FeasibilityVerdict",
-    "IndeterminateSignError",
-    "InfeasibleConstructionError",
-    "MixedPoint",
-    "Parameters",
-    "PointSet",
-    "Rational",
     "Sign",
-    "SweepRecord",
-    "SweepReport",
-    "VerdictKind",
-    "VerificationReport",
-    "certified_sign",
     "check_inequality",
-    "circumradius_sq",
-    "classify",
     "construct",
-    "construct_prop1",
-    "construct_prop2",
-    "construct_theorem",
     "derive_parameters",
-    "emit_report_csv",
-    "emit_report_json",
     "enclose_sqrt",
-    "f_enclosure",
-    "g_enclosure",
-    "lemma_applies",
-    "lemma_certificate",
     "mixed_distance",
-    "parse_report_json",
-    "place_in_block",
-    "pointset_from_json",
-    "pointset_to_json",
-    "regular_simplex",
     "run_sweep",
     "sign_with_enclosure",
     "verify_equilateral",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -32,6 +33,7 @@ from .mixednorm import (
     pointset_to_json,
     verify_equilateral,
 )
+from .realnum import DEFAULT_EPS_FLOOR
 from .sweep import emit_report_csv, emit_report_json, fraction_to_decimal_str, run_sweep
 
 EXIT_OK = 0
@@ -64,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 def _eps_floor_from_env() -> Fraction:
     raw = os.environ.get(ENV_PRECISION_FLOOR)
     if raw is None:
-        return Fraction(1, 2**200)
+        return DEFAULT_EPS_FLOOR
     try:
         exp = int(raw)
         if not 1 <= exp <= MAX_PRECISION_FLOOR_EXP:
@@ -114,8 +116,8 @@ def cmd_construct(args: argparse.Namespace, eps_floor: Fraction) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not args.rel_tol > 0:
-        raise _UsageError("verify: --rel-tol must be positive")
+    if not 0 < args.rel_tol < math.inf:
+        raise _UsageError("verify: --rel-tol must be positive and finite")
     try:
         with open(args.in_path, "r", encoding="utf-8") as fh:
             text = fh.read()

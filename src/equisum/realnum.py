@@ -7,7 +7,9 @@ rounding step: endpoint arithmetic is itself exact, so containment is
 preserved by construction.  Sign decisions about irrational expressions are
 made by shrinking enclosures until zero is excluded; only a true zero ever
 reaches the precision floor, and that is reported as Indeterminate rather
-than guessed.
+than guessed.  `sign_with_enclosure` makes every such decision and returns
+the deciding enclosure with the sign.  Enclosures multiply with `*`, and
+`scale` multiplies one by an exact scalar.
 
 A square root is bracketed by one integer square root, on the grid of
 spacing 1/(d 2^j): sqrt(n/d) lies in [k, k+1]/(d 2^j) with k = isqrt(n d 4^j).
@@ -26,11 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Callable
-
-# The canonical exact scalar type.  fractions.Fraction already maintains the
-# invariants we need: positive denominator, gcd(num, den) == 1 after every
-# operation, arbitrary-precision integers underneath.
-Rational = Fraction
 
 # Default refinement schedule: start at 2^-20 and halve per round.  The
 # precision floor exists only so that a true equality terminates; every sign
@@ -94,9 +91,7 @@ class Enclosure:
     def __neg__(self) -> Enclosure:
         return Enclosure(-self.hi, -self.lo)
 
-    def __mul__(self, other: Enclosure | Fraction | int) -> Enclosure:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(Fraction(other))
+    def __mul__(self, other: Enclosure) -> Enclosure:
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -104,8 +99,6 @@ class Enclosure:
             self.hi * other.hi,
         )
         return Enclosure(min(products), max(products))
-
-    __rmul__ = __mul__
 
     def scale(self, factor: Fraction | int) -> Enclosure:
         """Exact multiplication by a rational scalar."""
@@ -190,12 +183,3 @@ def sign_with_enclosure(
         if enc.width < floor:
             return Sign.INDETERMINATE, enc
         eps = eps / 2
-
-
-def certified_sign(
-    value_at: Callable[[Fraction], Enclosure],
-    eps_floor: Fraction | int = DEFAULT_EPS_FLOOR,
-    eps_start: Fraction | int = DEFAULT_EPS_START,
-) -> Sign:
-    """Sign-only form of `sign_with_enclosure`."""
-    return sign_with_enclosure(value_at, eps_floor, eps_start)[0]

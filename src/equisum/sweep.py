@@ -198,12 +198,19 @@ def emit_report_json(report: SweepReport) -> str:
 
 
 def parse_report_json(text: str) -> SweepReport:
+    """Parse the emit_report_json format.  Raises ValueError when the text
+    is not a JSON object or a field is missing or unknown (the message names
+    it) or has the wrong shape."""
     obj = json.loads(text)
-    records = [SweepRecord(**rec) for rec in obj["records"]]
-    return SweepReport(
-        records=records,
-        failing_pairs=[tuple(p) for p in obj["failing_pairs"]],
-        config=obj["config"],
-        lemma_certified=list(obj["lemma_certified"]),
-        conclusive=bool(obj["conclusive"]),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError("sweep report JSON must be an object")
+    try:
+        return SweepReport(
+            records=[SweepRecord(**rec) for rec in obj["records"]],
+            failing_pairs=[tuple(p) for p in obj["failing_pairs"]],
+            config=obj["config"],
+            lemma_certified=list(obj["lemma_certified"]),
+            conclusive=bool(obj["conclusive"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed sweep report JSON: {exc!r}") from exc

@@ -16,7 +16,7 @@ from equisum.constructions import (
 from equisum.feasibility import VerdictKind, classify, derive_parameters, inequality_margin
 from equisum.geometry import circumradius_sq
 from equisum.mixednorm import pointset_to_json, verify_equilateral
-from equisum.realnum import Enclosure, Sign, certified_sign, enclose_sqrt
+from equisum.realnum import Enclosure, Sign, enclose_sqrt, sign_with_enclosure
 
 
 def assert_equilateral(point_set, rel_tol=1e-9):
@@ -30,7 +30,7 @@ class TestProp1:
         ps = construct_prop1(1).point_set
         assert len(ps) == 3
         # simplex points (0, +-1/2) and the offset (1 - d_1, o) = (1/2, 0)
-        values = sorted((float(p.x[0]), float(p.y[0])) for p in ps.points)
+        values = sorted((float(x[0]), float(y[0])) for x, y in zip(ps.X, ps.Y))
         assert values == [(0.0, -0.5), (0.0, 0.5), (0.5, 0.0)]
         assert_equilateral(ps)
 
@@ -56,7 +56,7 @@ class TestProp2:
 
     def test_cross_polytope_second_factor(self):
         ps = construct_prop2(3).point_set
-        ys = ps.ys()[:-1]  # all but the apex
+        ys = ps.Y[:-1]  # all but the apex
         norms = np.linalg.norm(ys, axis=1)
         assert norms == pytest.approx(np.full(6, 0.5), abs=1e-15)
 
@@ -71,7 +71,7 @@ class TestProp2:
                 side_sq = Enclosure.point(Fraction(3, 2)) - s
                 return Enclosure.point(Fraction(1, 4)) - side_sq.scale(d2)
 
-            assert certified_sign(radicand) is Sign.POSITIVE
+            assert sign_with_enclosure(radicand)[0] is Sign.POSITIVE
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -98,9 +98,9 @@ class TestConstructTheorem:
         # for (5, 8): w-to-z distances in the first factor all equal g(2)
         result = construct_theorem(5, 8)
         p = result.parameters
-        ws = [result.point_set.points[i * p.c].x for i in range(p.alpha)]
+        ws = [result.point_set.X[i * p.c] for i in range(p.alpha)]
         zs = [
-            result.point_set.points[p.alpha * p.c + j * (p.c + 1)].x
+            result.point_set.X[p.alpha * p.c + j * (p.c + 1)]
             for j in range(p.beta)
         ]
         g2 = 1.0 - math.sqrt(7.0 / 12.0)

@@ -1,13 +1,13 @@
 """Out-of-range input ends in a documented exit code before any work starts:
-non-finite point-set JSON (65), construct's dimensions, the precision
-exponent and --jobs (64)."""
+non-finite or mistyped point-set JSON (65), construct's dimensions, the
+precision exponent, --jobs and verify's --rel-tol (64)."""
 
 import json
 
 import pytest
 
 from equisum import cli, sweep
-from equisum.mixednorm import pointset_from_json
+from equisum.mixednorm import pointset_from_json, verify_equilateral
 
 INFINITE_LAMBDA = (
     '{"a":1,"b":1,"lambda":Infinity,"swapped":false,"provenance":"x",'
@@ -22,10 +22,31 @@ OVERFLOWING_COORDINATE = (
     '"points":[{"x":[0.0],"y":[1e999]},{"x":[1.0],"y":[1e999]}]}'
 )
 FINITE_SET = NAN_COORDINATE.replace("NaN", "1.0").replace('"lambda":2', '"lambda":1')
+# each field of a JSON type the format does not allow; all but "a":0 were
+# once read by int(), float(), bool() or str() and the set verified
+MISTYPED_FIELDS = [
+    FINITE_SET.replace(old, new, 1)
+    for old, new in [
+        ('"a":1', '"a":1.5'),
+        ('"a":1', '"a":"1"'),
+        ('"a":1', '"a":0'),
+        ('"b":1', '"b":true'),
+        ('"lambda":1', '"lambda":"1"'),
+        ('"swapped":false', '"swapped":"no"'),
+        ('"provenance":"x"', '"provenance":5'),
+        ('"x":[0.0]', '"x":["0"]'),
+        ('"y":[1.0]},{"x":[1.0],"y":[1.0]', '"y":[false]},{"x":[1.0],"y":[true]'),
+    ]
+]
+# lambda 1, but the two points are 3 + 4 = 7 apart
+FAR_PAIR = (
+    '{"a":1,"b":1,"lambda":1,"swapped":false,"provenance":"x",'
+    '"points":[{"x":[0.0],"y":[0.0]},{"x":[3.0],"y":[4.0]}]}'
+)
 
 
 class TestNonFiniteJson:
-    @pytest.mark.parametrize("text", [INFINITE_LAMBDA, NAN_COORDINATE])
+    @pytest.mark.parametrize("text", [INFINITE_LAMBDA, NAN_COORDINATE, *MISTYPED_FIELDS])
     def test_verify_exits_65(self, tmp_path, capsys, text):
         path = tmp_path / "s.json"
         path.write_text(text)
@@ -66,6 +87,25 @@ class TestNonFiniteJson:
         path.write_text(NAN_COORDINATE.replace("NaN", "1.0").replace('"lambda":2', '"lambda":1'))
         assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+class TestRelTolBound:
+    @pytest.mark.parametrize("rel_tol", ["inf", "nan", "0", "-1"])
+    def test_out_of_range_exits_64(self, tmp_path, capsys, rel_tol):
+        # --rel-tol inf once passed every set: max_dev <= inf * lambda
+        path = tmp_path / "s.json"
+        path.write_text(FAR_PAIR)
+        assert cli.main(["verify", "--in", str(path), "--rel-tol", rel_tol]) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match="rel_tol"):
+            verify_equilateral(pointset_from_json(FAR_PAIR), float(rel_tol))
+
+    def test_finite_tolerance_applies(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(FAR_PAIR)
+        assert cli.main(["verify", "--in", str(path), "--rel-tol", "5"]) == cli.EXIT_VERIFY_FAIL
+        assert json.loads(capsys.readouterr().out)["max_abs_deviation"] == 6.0
+        assert cli.main(["verify", "--in", str(path), "--rel-tol", "6"]) == cli.EXIT_OK
 
 
 class _Reached(Exception):

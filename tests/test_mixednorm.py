@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from equisum.mixednorm import (
-    MixedPoint,
     PointSet,
     mixed_distance,
     pointset_from_json,
@@ -16,7 +15,13 @@ from equisum.mixednorm import (
 
 
 def mp(x, y):
-    return MixedPoint(np.array(x, dtype=float), np.array(y, dtype=float))
+    return np.array(x, dtype=float), np.array(y, dtype=float)
+
+
+def point_set(a, b, lam, pts, provenance):
+    return PointSet(
+        a=a, b=b, lam=lam, X=[p[0] for p in pts], Y=[p[1] for p in pts], provenance=provenance
+    )
 
 
 # Prop 1 instance for b = 1, hand-checked: all three pairwise distances are 1.
@@ -71,7 +76,7 @@ class TestMixedDistance:
 
 class TestVerifyEquilateral:
     def test_prop1_b1_passes(self):
-        s = PointSet(a=1, b=1, lam=1.0, points=PROP1_B1, provenance="hand")
+        s = point_set(1, 1, 1.0, PROP1_B1, "hand")
         report = verify_equilateral(s, 1e-9)
         assert report.passed
         assert report.n_pairs == 3
@@ -80,38 +85,38 @@ class TestVerifyEquilateral:
     def test_any_two_points_pass(self):
         pts = [mp([0.3], [1.0, 2.0]), mp([-1.0], [0.0, 0.5])]
         lam = mixed_distance(pts[0], pts[1])
-        s = PointSet(a=1, b=2, lam=lam, points=pts, provenance="pair")
+        s = point_set(1, 2, lam, pts, "pair")
         assert verify_equilateral(s, 1e-9).passed
 
     def test_corruption_detected(self):
-        pts = [mp(p.x.copy(), p.y.copy()) for p in PROP1_B1]
+        pts = [mp(x.copy(), y.copy()) for x, y in PROP1_B1]
         pts[1] = mp([0.0], [0.5 + 1e-3])
-        s = PointSet(a=1, b=1, lam=1.0, points=pts, provenance="corrupt")
+        s = point_set(1, 1, 1.0, pts, "corrupt")
         report = verify_equilateral(s, 1e-9)
         assert not report.passed
         assert report.max_abs_deviation > 1e-4
         assert report.worst_pair is not None
 
     def test_vacuous_single_point(self):
-        s = PointSet(a=1, b=1, lam=1.0, points=[mp([0.0], [0.0])], provenance="one")
+        s = point_set(1, 1, 1.0, [mp([0.0], [0.0])], "one")
         report = verify_equilateral(s, 1e-9)
         assert report.passed and report.n_pairs == 0 and report.worst_pair is None
 
     def test_worst_pair_tie_breaks_to_smallest(self):
         # all distances deviate equally; the first pair (0, 1) must be reported
         pts = [mp([0.0], [0.0]), mp([1.0], [0.0]), mp([0.0], [1.0])]
-        s = PointSet(a=1, b=1, lam=2.0, points=pts, provenance="tie")
+        s = point_set(1, 1, 2.0, pts, "tie")
         report = verify_equilateral(s, 1e-9)
         assert report.worst_pair == (0, 1)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PointSet(a=2, b=1, lam=1.0, points=PROP1_B1, provenance="bad")
+            point_set(2, 1, 1.0, PROP1_B1, "bad")
 
 
 class TestJson:
     def make_set(self):
-        return PointSet(a=1, b=1, lam=1.0, points=PROP1_B1, provenance="prop1(b=1)")
+        return point_set(1, 1, 1.0, PROP1_B1, "prop1(b=1)")
 
     def test_round_trip_bytes(self):
         s = self.make_set()
@@ -123,15 +128,14 @@ class TestJson:
         s = self.make_set()
         t = pointset_from_json(pointset_to_json(s))
         assert (t.a, t.b, t.lam, t.swapped, t.provenance) == (1, 1, 1.0, False, "prop1(b=1)")
-        for p, q in zip(s.points, t.points):
-            assert np.array_equal(p.x, q.x) and np.array_equal(p.y, q.y)
+        assert np.array_equal(s.X, t.X) and np.array_equal(s.Y, t.Y)
 
     def test_seventeen_digit_floats_survive(self):
         ugly = 1.0 - (2.0 / 3.0) ** 0.5
-        s = PointSet(a=1, b=1, lam=ugly, points=[mp([ugly], [-ugly])], provenance="ugly")
+        s = point_set(1, 1, ugly, [mp([ugly], [-ugly])], "ugly")
         t = pointset_from_json(pointset_to_json(s))
         assert t.lam == ugly
-        assert t.points[0].x[0] == ugly
+        assert t.X[0, 0] == ugly
 
     def test_field_order(self):
         text = pointset_to_json(self.make_set())

@@ -14,7 +14,6 @@ import pytest
 from equisum import cli, mixednorm
 from equisum.constructions import construct_prop2
 from equisum.mixednorm import (
-    MixedPoint,
     PointSet,
     VerificationReport,
     pointset_from_json,
@@ -28,7 +27,7 @@ def full_tensor_report(s: PointSet, rel_tol: float = 1e-9) -> VerificationReport
     n = len(s)
     if n < 2:
         return VerificationReport(n, 0, s.lam, rel_tol, 0.0, None, True)
-    xs, ys = s.xs(), s.ys()
+    xs, ys = s.X, s.Y
     dist = np.linalg.norm(xs[:, None, :] - xs[None, :, :], axis=2)
     dist += np.linalg.norm(ys[:, None, :] - ys[None, :, :], axis=2)
     iu, ju = np.triu_indices(n, k=1)
@@ -66,13 +65,12 @@ class TestRowBlockVerify:
         # and (2, 3), by 4.  Each tie spans two rows, so with one row per
         # block it spans two blocks, and the first pair must win.
         monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", budget)
-        pts = [MixedPoint([0.0], [0.0]), MixedPoint([1.0], [0.0]),
-               MixedPoint([1.0], [5.0]), MixedPoint([0.0], [5.0])]
-        s = PointSet(a=1, b=1, lam=1.0, points=pts)
+        X, Y = [[0.0], [1.0], [1.0], [0.0]], [[0.0], [0.0], [5.0], [5.0]]
+        s = PointSet(a=1, b=1, lam=1.0, X=X, Y=Y)
         report = verify_equilateral(s)
         assert report == full_tensor_report(s)
         assert report.worst_pair == (0, 2) and report.max_abs_deviation == 5.0
-        s = PointSet(a=1, b=1, lam=5.0, points=pts)
+        s = PointSet(a=1, b=1, lam=5.0, X=X, Y=Y)
         assert verify_equilateral(s).worst_pair == full_tensor_report(s).worst_pair == (0, 1)
 
     def test_constructed_set_in_blocks_of_eight_rows(self, monkeypatch):
@@ -96,6 +94,8 @@ class TestArrays:
             '[{"x": [0], "y": [0]}, {"x": [1], "y": [1]}]',  # a = 2, rows of 1
             '[{"x": [[0, 1]], "y": [0]}]',  # nested too deep
             '[{"x": [0, 1], "y": [null]}]',  # not a number
+            '[{"x": ["0", "1"], "y": [0]}]',  # strings
+            '[{"x": [0, 1], "y": [false]}]',  # a boolean row
         ],
     )
     def test_bad_rows_rejected(self, points):
@@ -112,15 +112,6 @@ class TestArrays:
         assert np.signbit(t.Y[3, 1]) and not np.signbit(t.Y[0, 1])
         assert pointset_to_json(t) == text
 
-    def test_points_are_views_of_the_rows(self):
-        s = construct_prop2(3).point_set
-        assert [p.x.tolist() for p in s.points] == s.X.tolist()
-        assert [p.y.tolist() for p in s.points] == s.Y.tolist()
-
-    def test_points_and_arrays_are_exclusive(self):
-        with pytest.raises(ValueError):
-            PointSet(a=1, b=1, lam=1.0, X=np.zeros((1, 1)), points=[MixedPoint([0.0], [0.0])])
-
 
 def run_main(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
@@ -131,23 +122,29 @@ def run_main(argv: list[str]) -> tuple[int, str]:
 
 def round_trip_digests(pairs, tmp_path) -> tuple[str, str]:
     """sha256 over the concatenated stdout of construct, and of verify,
-    for each pair in order; verify runs only after a successful construct.
-    Every constructed set also parses and re-emits to the same bytes."""
+    for each pair in order.  Every pair must construct and its set verify
+    (exit 0), and every constructed set parses and re-emits to the same
+    bytes."""
     path = tmp_path / "set.json"
     constructed, verified = hashlib.sha256(), hashlib.sha256()
     for a, b in pairs:
         rc, text = run_main(["construct", "--a", str(a), "--b", str(b)])
+        assert rc == cli.EXIT_OK, (a, b)
         constructed.update(text.encode())
-        if rc == cli.EXIT_OK:
-            assert pointset_to_json(pointset_from_json(text)) == text, (a, b)
-            path.write_text(text)
-            verified.update(run_main(["verify", "--in", str(path)])[1].encode())
+        assert pointset_to_json(pointset_from_json(text)) == text, (a, b)
+        path.write_text(text)
+        rc, text = run_main(["verify", "--in", str(path)])
+        assert rc == cli.EXIT_OK, (a, b)
+        verified.update(text.encode())
     return constructed.hexdigest(), verified.hexdigest()
 
 
 class TestGoldenBytes:
     def test_every_pair_up_to_sixty(self, tmp_path):
+        # every pair with a + b <= 60 is feasible; the first that is not,
+        # (28, 40), has a + b = 68
         pairs = [(a, s - a) for s in range(2, 61) for a in range(1, s)]
+        assert len(pairs) == 1770
         assert round_trip_digests(pairs, tmp_path) == (
             "1a7a54f2fa1f5c9d47d1cbe4ea53a21e462b075949fc7f36bc14749171140a31",
             "5c37ad6a7b0092ba021b2a9182a533de0ab952e4d883ea4ad19fdd6c34d79400",

@@ -11,7 +11,6 @@ from equisum.realnum import (
     DEFAULT_EPS_FLOOR,
     Enclosure,
     Sign,
-    certified_sign,
     enclose_sqrt,
     sign_with_enclosure,
 )
@@ -122,10 +121,10 @@ class TestIntervalOps:
 
 class TestCertifiedSign:
     def test_constant_positive(self):
-        assert certified_sign(lambda eps: Enclosure(Fraction(1, 3), Fraction(1, 2))) is Sign.POSITIVE
+        assert sign_with_enclosure(lambda eps: Enclosure(Fraction(1, 3), Fraction(1, 2)))[0] is Sign.POSITIVE
 
     def test_constant_negative(self):
-        assert certified_sign(lambda eps: Enclosure(-2, -1)) is Sign.NEGATIVE
+        assert sign_with_enclosure(lambda eps: Enclosure(-2, -1))[0] is Sign.NEGATIVE
 
     def test_true_zero_is_indeterminate(self):
         # sqrt(2) - sqrt(2) through two independent enclosures: refined all
@@ -144,7 +143,7 @@ class TestCertifiedSign:
         def value_at(eps):
             return Enclosure(target - eps / 2, target + eps / 2)
 
-        assert certified_sign(value_at) is Sign.POSITIVE
+        assert sign_with_enclosure(value_at)[0] is Sign.POSITIVE
 
     def test_agrees_with_100_digit_reference(self):
         mp = pytest.importorskip("mpmath")
@@ -155,7 +154,7 @@ class TestCertifiedSign:
             (Fraction(17, 24), Fraction(5, 6)), # sqrt(17/24) - 5/6 > 0
         ]
         for q, shift in cases:
-            sign = certified_sign(lambda eps: enclose_sqrt(q, eps) - Enclosure.point(shift))
+            sign = sign_with_enclosure(lambda eps: enclose_sqrt(q, eps) - Enclosure.point(shift))[0]
             ref = mp.sqrt(mp.mpf(q.numerator) / q.denominator) - mp.mpf(
                 shift.numerator
             ) / shift.denominator

@@ -103,6 +103,19 @@ class TestReports:
         again = parse_report_json(emit_report_json(report))
         assert again == report
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ("{}", "records"),
+            ('{"records": [{"a": 2}], "failing_pairs": [], "config": {}, '
+             '"lemma_certified": [], "conclusive": true}', "'b'"),
+            ("[]", "object"),
+        ],
+    )
+    def test_json_schema_errors_name_the_field(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            parse_report_json(text)
+
     def test_json_mirrors_record_field_names(self):
         report = run_sweep(2, 2, b_max=4)
         obj = json.loads(emit_report_json(report))
