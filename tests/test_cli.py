@@ -129,6 +129,28 @@ class TestSweep:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+class TestRoundTripInvariant:
+    def test_construct_verify_round_trip_up_to_60(self, tmp_path):
+        # in-process for speed; every feasible pair with a + b <= 60 must
+        # construct and then verify cleanly through the CLI layer
+        from equisum.cli import main
+        from equisum.feasibility import VerdictKind, classify
+
+        out = tmp_path / "s.json"
+        checked = 0
+        for a in range(1, 60):
+            for b in range(1, 61 - a):
+                kind = classify(a, b).kind
+                if kind is VerdictKind.SWAP_AND_RECURSE:
+                    kind = classify(b, a).kind
+                if kind in (VerdictKind.INEQUALITY_FAILS, VerdictKind.INDETERMINATE):
+                    continue
+                assert main(["construct", "--a", str(a), "--b", str(b), "--out", str(out)]) == 0
+                assert main(["verify", "--in", str(out), "--out", str(tmp_path / "r.json")]) == 0
+                checked += 1
+        assert checked > 800
+
+
 class TestPrecisionFloorEnv:
     def test_valid_override_accepted(self):
         proc = run_cli("check", "--a", "5", "--b", "8", env_extra={"EQUISUM_PRECISION_FLOOR": "60"})
