@@ -3,7 +3,8 @@
 Subcommands: construct, verify, check, sweep.  All payload output is JSON
 or CSV on stdout (or --out); logs go to stderr.  Exit codes: 0 success or
 pass, 1 verification failure, 2 infeasible construction, 3 indeterminate
-certification, 64 usage error, 65 unreadable input data.
+certification, 64 usage error, 65 unreadable input data, 73 output that
+cannot be written (--out in a missing directory, say).
 
 The certified-arithmetic precision floor is 2^-E with E from the
 EQUISUM_PRECISION_FLOOR environment variable (default 200, at most 4096).
@@ -12,6 +13,9 @@ than there are CPUs or than half its pairs.  `construct` takes a + b of at
 most 1000: the set has a + b + 1 points of a + b coordinates, and at the
 bound construct then verify took 0.5 s and 1.7 s with peak RSS of 112 MB
 and 102 MB (a = 1, 2 CPUs).  Values out of range are usage errors (exit 64).
+`verify` takes a set of at most 1001 points, the most construct emits; a
+larger set is rejected as input data (exit 65) before any distance is
+computed.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ EXIT_INFEASIBLE = 2
 EXIT_INDETERMINATE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_CANTCREAT = 73
 
 ENV_PRECISION_FLOOR = "EQUISUM_PRECISION_FLOOR"
 # 2^-4096 is far below any decision this package reaches (they resolve near
@@ -79,14 +84,6 @@ def _eps_floor_from_env() -> Fraction:
     return Fraction(1, 2**exp)
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
     obj: dict = {"kind": v.kind.value}
     if v.params is not None:
@@ -97,7 +94,11 @@ def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
     return obj
 
 
-def cmd_construct(args: argparse.Namespace, eps_floor: Fraction) -> int:
+# Each command returns its payload, or None when it has none, and its exit
+# code; main writes the payload to stdout or --out.
+
+
+def cmd_construct(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | None, int]:
     if args.a < 1 or args.b < 1:
         raise _UsageError("construct: --a and --b must be >= 1")
     if args.a + args.b > MAX_CONSTRUCT_DIM:
@@ -107,15 +108,14 @@ def cmd_construct(args: argparse.Namespace, eps_floor: Fraction) -> int:
     except InfeasibleConstructionError as exc:
         body = {"error": "InfeasibleConstruction", "a": args.a, "b": args.b}
         body["verdict"] = _verdict_jsonable(exc.verdict)
-        _write_output(json.dumps(body, indent=2) + "\n", args.out)
+        text = json.dumps(body, indent=2) + "\n"
         if exc.verdict.kind is VerdictKind.INDETERMINATE:
-            return EXIT_INDETERMINATE
-        return EXIT_INFEASIBLE
-    _write_output(pointset_to_json(result.point_set), args.out)
-    return EXIT_OK
+            return text, EXIT_INDETERMINATE
+        return text, EXIT_INFEASIBLE
+    return pointset_to_json(result.point_set), EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, _eps_floor: Fraction) -> tuple[str | None, int]:
     if not 0 < args.rel_tol < math.inf:
         raise _UsageError("verify: --rel-tol must be positive and finite")
     try:
@@ -124,7 +124,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         point_set = pointset_from_json(text)
     except (OSError, ValueError) as exc:
         print(f"verify: cannot read point set: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return None, EXIT_DATA
+    if len(point_set) > MAX_CONSTRUCT_DIM + 1:
+        print(f"verify: {len(point_set)} points, at most {MAX_CONSTRUCT_DIM + 1} allowed", file=sys.stderr)
+        return None, EXIT_DATA
     report = verify_equilateral(point_set, args.rel_tol)
     body = {
         "n_points": report.n_points,
@@ -135,11 +138,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "worst_pair": list(report.worst_pair) if report.worst_pair else None,
         "pass": report.passed,
     }
-    _write_output(json.dumps(body, indent=2) + "\n", args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return json.dumps(body, indent=2) + "\n", EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_check(args: argparse.Namespace, eps_floor: Fraction) -> int:
+def cmd_check(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | None, int]:
     if args.a < 1 or args.b < 1:
         raise _UsageError("check: --a and --b must be >= 1")
     verdict = classify(args.a, args.b, eps_floor)
@@ -151,11 +153,10 @@ def cmd_check(args: argparse.Namespace, eps_floor: Fraction) -> int:
         body["resolved"] = _verdict_jsonable(effective)
     lo, hi = sorted((args.a, args.b))
     body["lemma_covered"] = bool(hi > lo >= 2 and lemma_applies(lo, hi))
-    _write_output(json.dumps(body, indent=2) + "\n", args.out)
-    return EXIT_OK if effective.conclusive else EXIT_INDETERMINATE
+    return json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE
 
 
-def cmd_sweep(args: argparse.Namespace, eps_floor: Fraction) -> int:
+def cmd_sweep(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | None, int]:
     if args.a_min < 2 or args.a_min > args.a_max:
         raise _UsageError("sweep: need 2 <= a-min <= a-max")
     if args.b_max is not None and args.b_max < 2:
@@ -165,13 +166,12 @@ def cmd_sweep(args: argparse.Namespace, eps_floor: Fraction) -> int:
     t0 = time.perf_counter()
     report = run_sweep(args.a_min, args.a_max, b_max=args.b_max, eps_floor=eps_floor, jobs=args.jobs)
     text = emit_report_csv(report) if args.format == "csv" else emit_report_json(report)
-    _write_output(text, args.out)
     print(
         f"sweep: {len(report.records)} pairs, {len(report.failing_pairs)} failing, "
         f"{time.perf_counter() - t0:.2f}s",
         file=sys.stderr,
     )
-    return EXIT_OK if report.conclusive else EXIT_INDETERMINATE
+    return text, EXIT_OK if report.conclusive else EXIT_INDETERMINATE
 
 
 @functools.cache
@@ -207,21 +207,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_COMMANDS = {"construct": cmd_construct, "verify": cmd_verify, "check": cmd_check, "sweep": cmd_sweep}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        eps_floor = _eps_floor_from_env()
-        if args.command == "construct":
-            return cmd_construct(args, eps_floor)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "check":
-            return cmd_check(args, eps_floor)
-        return cmd_sweep(args, eps_floor)
+        text, code = _COMMANDS[args.command](args, _eps_floor_from_env())
     except _UsageError as exc:
         print(f"equisum: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if text is None:
+        return code
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"equisum: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
+    return code
 
 
 if __name__ == "__main__":

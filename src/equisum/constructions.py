@@ -27,7 +27,6 @@ from .feasibility import (
     Parameters,
     VerdictKind,
     classify,
-    derive_parameters,
 )
 from .geometry import circumradius_sq, regular_simplex
 from .mixednorm import PointSet
@@ -109,24 +108,21 @@ def _second_factor_rows(p: Parameters, Y: np.ndarray) -> None:
 
 
 def _first_factor_points(p: Parameters) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """The w_i and z_j in E^a as the rows of two arrays, case-split on beta
-    exactly as the verdict dispatch does; returns (ws, zs, zeta)."""
+    """The w_i and z_j in E^a as the rows of two arrays; returns (ws, zs, zeta).
+
+    beta = 1 takes the main case: its z-simplex is a single point, d_0^2 is
+    0 and its term subtracts an exact 0.0.  beta = a puts zeta on the w side.
+    """
     a, c, alpha, beta = p.a, p.c, p.alpha, p.beta
     if beta == 0:
         return regular_simplex(alpha, _f(c - 1), a), np.zeros((0, a)), None
-    if beta == 1:
-        ws = regular_simplex(a, _f(c - 1), a)
-        zeta = math.sqrt(_g(c) ** 2 - float(circumradius_sq(a - 1)) * _f(c - 1) ** 2)
-        zs = np.zeros((1, a))
-        zs[0, a - 1] = zeta
-        return ws, zs, zeta
     if beta == a:
         zs = regular_simplex(a, _f(c), a)
         zeta = math.sqrt(_g(c) ** 2 - float(circumradius_sq(a - 1)) * _f(c) ** 2)
         ws = np.zeros((1, a))
         ws[0, a - 1] = zeta
         return ws, zs, zeta
-    # main case 2 <= beta <= a-1: E^a = E^{alpha-1} (+) E^{beta-1} (+) E^1
+    # main case 1 <= beta <= a-1: E^a = E^{alpha-1} (+) E^{beta-1} (+) E^1
     ws = regular_simplex(alpha, _f(c - 1), a)
     radicand = (
         _g(c) ** 2
@@ -142,22 +138,11 @@ def _first_factor_points(p: Parameters) -> tuple[np.ndarray, np.ndarray, float |
     return ws, zs, zeta
 
 
-def construct_theorem(
-    a: int, b: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR
-) -> ConstructionResult:
-    """a + b + 1 equidistant points for b > a >= 2, when feasible.
-
-    Raises InfeasibleConstructionError carrying the verdict when the
-    certified inequality fails or cannot be separated from zero.
-    """
-    return _build_theorem(a, b, classify(a, b, eps_floor))
-
-
 def _build_theorem(a: int, b: int, verdict: FeasibilityVerdict) -> ConstructionResult:
     """The block construction for b > a >= 2 under the verdict of (a, b)."""
     if verdict.kind not in (VerdictKind.BETA_TRIVIAL, VerdictKind.INEQUALITY_HOLDS):
         raise InfeasibleConstructionError(verdict)
-    p = verdict.params if verdict.params is not None else derive_parameters(a, b)
+    p = verdict.params  # classify sets it for both verdicts
 
     ws, zs, zeta = _first_factor_points(p)
     X = np.concatenate([np.repeat(ws, p.c, axis=0), np.repeat(zs, p.c + 1, axis=0)])

@@ -84,6 +84,7 @@ class BlockLayout:
         return sum(self.block_dims[:block_index])
 
 
+# benchmarks/spans.py traces this name; nothing in the package calls it
 def place_in_block(v: np.ndarray, layout: BlockLayout, block_index: int) -> np.ndarray:
     """Embed v into its block, exactly zero everywhere else.
 

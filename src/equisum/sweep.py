@@ -5,6 +5,11 @@ processes; results are merged by (a, b) and the emitted artifacts are
 byte-identical regardless of worker count.  Pairs at or beyond the
 threshold b >= a^2 + a are covered by the certified lemma rather than
 re-decided; the lemma certificate itself is spot-checked once per a.
+
+A report is emitted as CSV or JSON, one record per pair with the fields of
+`SweepRecord` in declaration order; nothing in the package reads a report
+back.  Margins are the exact enclosure endpoints rendered to MARGIN_DIGITS
+significant digits.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ from __future__ import annotations
 import decimal
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import feasibility
@@ -22,13 +26,13 @@ from .feasibility import VerdictKind, derive_parameters, lemma_applies, lemma_ce
 from .realnum import DEFAULT_EPS_FLOOR, Enclosure
 
 MARGIN_DIGITS = 30
+_MARGIN_CONTEXT = decimal.Context(prec=MARGIN_DIGITS)
 
 
-def fraction_to_decimal_str(q: Fraction, digits: int = MARGIN_DIGITS) -> str:
-    """Render an exact rational to `digits` significant decimal digits."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        return str(decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator))
+def fraction_to_decimal_str(q: Fraction) -> str:
+    """Render an exact rational to MARGIN_DIGITS significant decimal digits,
+    correctly rounded (half to even)."""
+    return str(_MARGIN_CONTEXT.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
 
 
 @dataclass(frozen=True)
@@ -51,9 +55,6 @@ class SweepReport:
     config: dict
     lemma_certified: list[int]
     conclusive: bool
-    # wall-clock seconds; informational only, excluded from equality and
-    # from the emitted artifacts so that reruns are byte-identical
-    timing_seconds: float | None = field(default=None, compare=False)
 
 
 def _margin_strings(margin: Enclosure | None) -> tuple[str | None, str | None]:
@@ -115,7 +116,6 @@ def run_sweep(
         raise ValueError(f"run_sweep requires 2 <= a_min <= a_max, got [{a_min}, {a_max}]")
     if jobs < 1:
         raise ValueError(f"run_sweep: jobs must be >= 1, got {jobs}")
-    t0 = time.perf_counter()
 
     pairs: list[tuple[int, int]] = []
     lemma_relied: list[int] = []
@@ -155,7 +155,6 @@ def run_sweep(
         config=config,
         lemma_certified=lemma_certified,
         conclusive=conclusive,
-        timing_seconds=time.perf_counter() - t0,
     )
 
 
@@ -179,38 +178,6 @@ def emit_report_json(report: SweepReport) -> str:
         "lemma_certified": report.lemma_certified,
         "conclusive": report.conclusive,
         "failing_pairs": [list(p) for p in report.failing_pairs],
-        "records": [
-            {
-                "a": r.a,
-                "b": r.b,
-                "c": r.c,
-                "alpha": r.alpha,
-                "beta": r.beta,
-                "verdict": r.verdict,
-                "margin_lo": r.margin_lo,
-                "margin_hi": r.margin_hi,
-                "lemma_covered": r.lemma_covered,
-            }
-            for r in report.records
-        ],
+        "records": [vars(r) for r in report.records],
     }
     return json.dumps(obj, indent=2) + "\n"
-
-
-def parse_report_json(text: str) -> SweepReport:
-    """Parse the emit_report_json format.  Raises ValueError when the text
-    is not a JSON object or a field is missing or unknown (the message names
-    it) or has the wrong shape."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("sweep report JSON must be an object")
-    try:
-        return SweepReport(
-            records=[SweepRecord(**rec) for rec in obj["records"]],
-            failing_pairs=[tuple(p) for p in obj["failing_pairs"]],
-            config=obj["config"],
-            lemma_certified=list(obj["lemma_certified"]),
-            conclusive=bool(obj["conclusive"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed sweep report JSON: {exc!r}") from exc

@@ -7,6 +7,10 @@ import sys
 import pytest
 
 CMD = [sys.executable, "-m", "equisum"]
+TWO_POINTS = (
+    '{"a": 1, "b": 1, "lambda": 2, "swapped": false, "provenance": "pair", '
+    '"points": [{"x": [0], "y": [0]}, {"x": [1], "y": [1]}]}'
+)
 
 
 def run_cli(*args, env_extra=None):
@@ -69,10 +73,7 @@ class TestVerify:
 
     def test_two_point_set_passes(self, tmp_path):
         out = tmp_path / "two.json"
-        out.write_text(
-            '{"a": 1, "b": 1, "lambda": 2, "swapped": false, "provenance": "pair", '
-            '"points": [{"x": [0], "y": [0]}, {"x": [1], "y": [1]}]}'
-        )
+        out.write_text(TWO_POINTS)
         assert run_cli("verify", "--in", str(out)).returncode == 0
 
     def test_unparseable_exits_65(self, tmp_path):
@@ -130,25 +131,52 @@ class TestSweep:
 
 
 class TestRoundTripInvariant:
-    def test_construct_verify_round_trip_up_to_60(self, tmp_path):
+    def test_construct_verify_round_trip_up_to_60(self, round_trips_up_to_sixty):
         # in-process for speed; every feasible pair with a + b <= 60 must
-        # construct and then verify cleanly through the CLI layer
-        from equisum.cli import main
+        # construct and then verify cleanly through the CLI layer with
+        # --out.  The loop (tests/conftest.py) also serves the golden
+        # digests in test_pointset_arrays.py.
         from equisum.feasibility import VerdictKind, classify
 
-        out = tmp_path / "s.json"
+        trips = round_trips_up_to_sixty
         checked = 0
-        for a in range(1, 60):
-            for b in range(1, 61 - a):
-                kind = classify(a, b).kind
-                if kind is VerdictKind.SWAP_AND_RECURSE:
-                    kind = classify(b, a).kind
-                if kind in (VerdictKind.INEQUALITY_FAILS, VerdictKind.INDETERMINATE):
-                    continue
-                assert main(["construct", "--a", str(a), "--b", str(b), "--out", str(out)]) == 0
-                assert main(["verify", "--in", str(out), "--out", str(tmp_path / "r.json")]) == 0
-                checked += 1
+        for (a, b), rc_construct, rc_verify in zip(
+            trips.pairs, trips.construct_codes, trips.verify_codes
+        ):
+            kind = classify(a, b).kind
+            if kind is VerdictKind.SWAP_AND_RECURSE:
+                kind = classify(b, a).kind
+            if kind in (VerdictKind.INEQUALITY_FAILS, VerdictKind.INDETERMINATE):
+                continue
+            assert (rc_construct, rc_verify) == (0, 0), (a, b)
+            checked += 1
         assert checked > 800
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--a", "5", "--b", "8"],
+            ["verify", "--in", "{set}"],
+            ["check", "--a", "5", "--b", "8"],
+            ["sweep", "--a-min", "2", "--a-max", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_73_with_one_error_line(self, tmp_path, capsys, argv):
+        from equisum.cli import EXIT_CANTCREAT, main
+
+        set_path = tmp_path / "two.json"
+        set_path.write_text(TWO_POINTS)
+        argv = [arg.format(set=set_path) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "missing" / "x.json")]) == EXIT_CANTCREAT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines[-1].startswith("equisum: cannot write output:")
+        assert len(lines) == (2 if argv[0] == "sweep" else 1)  # sweep logs its summary first
 
 
 class TestPrecisionFloorEnv:

@@ -11,7 +11,6 @@ from equisum.constructions import (
     construct,
     construct_prop1,
     construct_prop2,
-    construct_theorem,
 )
 from equisum.feasibility import VerdictKind, classify, derive_parameters, inequality_margin
 from equisum.geometry import circumradius_sq
@@ -84,19 +83,19 @@ class TestConstructTheorem:
         [(5, 8, 14), (2, 4, 7), (2, 5, 8), (2, 3, 6), (3, 7, 11), (9, 12, 22)],
     )
     def test_feasible_pairs(self, a, b, n):
-        result = construct_theorem(a, b)
+        result = construct(a, b)
         assert len(result.point_set) == n == a + b + 1
         assert_equilateral(result.point_set)
 
     def test_infeasible_raises_with_verdict(self):
         with pytest.raises(InfeasibleConstructionError) as excinfo:
-            construct_theorem(28, 40)
+            construct(28, 40)
         assert excinfo.value.verdict.kind is VerdictKind.INEQUALITY_FAILS
         assert excinfo.value.verdict.margin.hi < 0
 
     def test_cross_simplex_distances_match_g(self):
         # for (5, 8): w-to-z distances in the first factor all equal g(2)
-        result = construct_theorem(5, 8)
+        result = construct(5, 8)
         p = result.parameters
         ws = [result.point_set.X[i * p.c] for i in range(p.alpha)]
         zs = [
@@ -127,7 +126,7 @@ class TestConstructTheorem:
                 verdict = classify(a, b)
                 if verdict.kind is not VerdictKind.INEQUALITY_HOLDS:
                     continue
-                result = construct_theorem(a, b)
+                result = construct(a, b)
                 enc = inequality_margin(p, Fraction(1, 2**48))
                 z2 = result.zeta**2
                 assert float(enc.lo) - 1e-12 <= z2 <= float(enc.hi) + 1e-12
@@ -137,7 +136,7 @@ class TestConstructTheorem:
         for a, b in [(2, 4), (4, 9), (2, 5), (3, 7), (5, 11)]:
             p = derive_parameters(a, b)
             assert p.beta in (1, a)
-            result = construct_theorem(a, b)
+            result = construct(a, b)
             enc = inequality_margin(p, Fraction(1, 2**48))
             assert float(enc.lo) - 1e-12 <= result.zeta**2 <= float(enc.hi) + 1e-12
 

@@ -52,12 +52,19 @@ class TestDeriveParameters:
             derive_parameters(1, 9)
 
     def test_identities_over_range(self):
-        for a in range(2, 501):
-            for b in range(a + 1, 501):
-                p = derive_parameters(a, b)
-                assert p.alpha * (p.c - 1) + p.beta * p.c == b
-                assert p.alpha * p.c + p.beta * (p.c + 1) == a + b + 1
-                assert p.c >= 2 and p.alpha >= 1 and 0 <= p.beta <= a
+        # every pair with a, b <= 500, then every sweep-60 pair
+        # (a in [2, 60], a < b < a^2 + a)
+        pairs = [(a, b) for a in range(2, 501) for b in range(a + 1, 501)]
+        pairs += [(a, b) for a in range(2, 61) for b in range(a + 1, a * a + a)]
+        for a, b in pairs:
+            p = derive_parameters(a, b)
+            assert (p.a, p.b) == (a, b)
+            assert p.c == 1 + b // (a + 1)
+            assert p.beta == b % (a + 1)
+            assert p.alpha == a + 1 - p.beta
+            assert p.alpha * (p.c - 1) + p.beta * p.c == b
+            assert p.alpha * p.c + p.beta * (p.c + 1) == a + b + 1
+            assert p.c >= 2 and p.alpha >= 1 and 0 <= p.beta <= a
 
 
 class TestEnclosures:

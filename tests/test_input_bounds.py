@@ -1,6 +1,7 @@
 """Out-of-range input ends in a documented exit code before any work starts:
-non-finite or mistyped point-set JSON (65), construct's dimensions, the
-precision exponent, --jobs and verify's --rel-tol (64)."""
+non-finite or mistyped point-set JSON and a set of more points than verify
+takes (65), construct's dimensions, the precision exponent, --jobs and
+verify's --rel-tol (64)."""
 
 import json
 
@@ -112,7 +113,7 @@ class _Reached(Exception):
     pass
 
 
-def _reached(a, b, eps_floor):
+def _reached(*args):
     raise _Reached
 
 
@@ -128,6 +129,30 @@ class TestConstructBound:
         monkeypatch.setattr(cli, "construct", _reached)
         with pytest.raises(_Reached):
             cli.main(["construct", "--a", str(a), "--b", str(b)])
+
+
+def line_set(n: int) -> str:
+    """n points (i, 0) in E^1 (+)_1 E^1, neighbours at distance 1."""
+    points = ",".join('{"x":[%d],"y":[0]}' % i for i in range(n))
+    return '{"a":1,"b":1,"lambda":1,"swapped":false,"provenance":"line","points":[%s]}' % points
+
+
+class TestVerifyPointBound:
+    @pytest.mark.parametrize("n", [cli.MAX_CONSTRUCT_DIM + 2, 100_000])
+    def test_above_bound_exits_65_before_any_distance(self, tmp_path, monkeypatch, capsys, n):
+        # 10^5 points would be 5e9 distances
+        monkeypatch.setattr(cli, "verify_equilateral", _reached)
+        path = tmp_path / "s.json"
+        path.write_text(line_set(n))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().out == ""
+
+    def test_largest_constructed_size_gets_a_report(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(line_set(cli.MAX_CONSTRUCT_DIM + 1))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_VERIFY_FAIL
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n_points"], report["worst_pair"]) == (1001, [0, 1000])
 
 
 class TestPrecisionExponentBound:
