@@ -6,16 +6,15 @@ pass, 1 verification failure, 2 infeasible construction, 3 indeterminate
 certification, 64 usage error, 65 unreadable input data, 73 output that
 cannot be written (--out in a missing directory, say).
 
-The certified-arithmetic precision floor is 2^-E with E from the
-EQUISUM_PRECISION_FLOOR environment variable (default 200, at most 4096).
 `sweep --jobs` is at most 256, and a sweep runs no more worker processes
 than there are CPUs or than half its pairs.  `construct` takes a + b of at
 most 1000: the set has a + b + 1 points of a + b coordinates, and at the
 bound construct then verify took 0.5 s and 1.7 s with peak RSS of 112 MB
 and 102 MB (a = 1, 2 CPUs).  Values out of range are usage errors (exit 64).
-`verify` takes a set of at most 1001 points, the most construct emits; a
-larger set is rejected as input data (exit 65) before any distance is
-computed.
+`verify` takes a file of at most 32 MiB and a set of at most 1001 points,
+the most construct emits (25 MB as JSON at a = 1, b = 999).  A larger file
+is rejected as input data (exit 65) before it is parsed, and a larger set
+before any distance is computed.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
-from fractions import Fraction
 
 from .constructions import InfeasibleConstructionError, construct
 from .feasibility import FeasibilityVerdict, VerdictKind, classify, lemma_applies
@@ -37,8 +34,7 @@ from .mixednorm import (
     pointset_to_json,
     verify_equilateral,
 )
-from .realnum import DEFAULT_EPS_FLOOR
-from .sweep import emit_report_csv, emit_report_json, fraction_to_decimal_str, run_sweep
+from .sweep import emit_report_csv, emit_report_json, margin_strings, run_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -48,14 +44,12 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_CANTCREAT = 73
 
-ENV_PRECISION_FLOOR = "EQUISUM_PRECISION_FLOOR"
-# 2^-4096 is far below any decision this package reaches (they resolve near
-# 2^-23); the bound keeps 2**E from being asked for a huge integer.
-MAX_PRECISION_FLOOR_EXP = 4096
 MAX_JOBS = 256
 # construct's a + b: the set is (a+b+1) x (a+b) floats, up to 25 bytes each
 # as JSON, and verify's time grows as (a+b)^3.
 MAX_CONSTRUCT_DIM = 1000
+# verify's input file: the largest set construct emits is 24,993,135 bytes
+MAX_VERIFY_BYTES = 32 * 2**20
 
 
 class _UsageError(Exception):
@@ -68,29 +62,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _eps_floor_from_env() -> Fraction:
-    raw = os.environ.get(ENV_PRECISION_FLOOR)
-    if raw is None:
-        return DEFAULT_EPS_FLOOR
-    try:
-        exp = int(raw)
-        if not 1 <= exp <= MAX_PRECISION_FLOOR_EXP:
-            raise ValueError
-    except ValueError:
-        raise _UsageError(
-            f"{ENV_PRECISION_FLOOR} must be an integer exponent in "
-            f"[1, {MAX_PRECISION_FLOOR_EXP}], got {raw!r}"
-        ) from None
-    return Fraction(1, 2**exp)
-
-
 def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
     obj: dict = {"kind": v.kind.value}
     if v.params is not None:
         obj.update(c=v.params.c, alpha=v.params.alpha, beta=v.params.beta)
     if v.margin is not None:
-        obj["margin_lo"] = fraction_to_decimal_str(v.margin.lo)
-        obj["margin_hi"] = fraction_to_decimal_str(v.margin.hi)
+        obj["margin_lo"], obj["margin_hi"] = margin_strings(v.margin)
     return obj
 
 
@@ -98,13 +75,13 @@ def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
 # code; main writes the payload to stdout or --out.
 
 
-def cmd_construct(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | None, int]:
+def cmd_construct(args: argparse.Namespace) -> tuple[str | None, int]:
     if args.a < 1 or args.b < 1:
         raise _UsageError("construct: --a and --b must be >= 1")
     if args.a + args.b > MAX_CONSTRUCT_DIM:
         raise _UsageError(f"construct: --a plus --b must be at most {MAX_CONSTRUCT_DIM}")
     try:
-        result = construct(args.a, args.b, eps_floor)
+        result = construct(args.a, args.b)
     except InfeasibleConstructionError as exc:
         body = {"error": "InfeasibleConstruction", "a": args.a, "b": args.b}
         body["verdict"] = _verdict_jsonable(exc.verdict)
@@ -115,12 +92,16 @@ def cmd_construct(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | 
     return pointset_to_json(result.point_set), EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, _eps_floor: Fraction) -> tuple[str | None, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[str | None, int]:
     if not 0 < args.rel_tol < math.inf:
         raise _UsageError("verify: --rel-tol must be positive and finite")
     try:
-        with open(args.in_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.in_path, "rb") as fh:
+            data = fh.read(MAX_VERIFY_BYTES + 1)
+        if len(data) > MAX_VERIFY_BYTES:
+            raise ValueError(f"file larger than {MAX_VERIFY_BYTES} bytes")
+        text = data.decode("utf-8")
+        del data  # else the bytes stay alive, and count in peak memory, through the parse
         point_set = pointset_from_json(text)
     except (OSError, ValueError) as exc:
         print(f"verify: cannot read point set: {exc}", file=sys.stderr)
@@ -141,22 +122,22 @@ def cmd_verify(args: argparse.Namespace, _eps_floor: Fraction) -> tuple[str | No
     return json.dumps(body, indent=2) + "\n", EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_check(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | None, int]:
+def cmd_check(args: argparse.Namespace) -> tuple[str | None, int]:
     if args.a < 1 or args.b < 1:
         raise _UsageError("check: --a and --b must be >= 1")
-    verdict = classify(args.a, args.b, eps_floor)
+    verdict = classify(args.a, args.b)
     body = {"a": args.a, "b": args.b}
     body.update(_verdict_jsonable(verdict))
     effective = verdict
     if verdict.kind is VerdictKind.SWAP_AND_RECURSE:
-        effective = classify(args.b, args.a, eps_floor)
+        effective = classify(args.b, args.a)
         body["resolved"] = _verdict_jsonable(effective)
     lo, hi = sorted((args.a, args.b))
     body["lemma_covered"] = bool(hi > lo >= 2 and lemma_applies(lo, hi))
     return json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE
 
 
-def cmd_sweep(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | None, int]:
+def cmd_sweep(args: argparse.Namespace) -> tuple[str | None, int]:
     if args.a_min < 2 or args.a_min > args.a_max:
         raise _UsageError("sweep: need 2 <= a-min <= a-max")
     if args.b_max is not None and args.b_max < 2:
@@ -164,7 +145,7 @@ def cmd_sweep(args: argparse.Namespace, eps_floor: Fraction) -> tuple[str | None
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"sweep: --jobs must be in [1, {MAX_JOBS}]")
     t0 = time.perf_counter()
-    report = run_sweep(args.a_min, args.a_max, b_max=args.b_max, eps_floor=eps_floor, jobs=args.jobs)
+    report = run_sweep(args.a_min, args.a_max, b_max=args.b_max, jobs=args.jobs)
     text = emit_report_csv(report) if args.format == "csv" else emit_report_json(report)
     print(
         f"sweep: {len(report.records)} pairs, {len(report.failing_pairs)} failing, "
@@ -214,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text, code = _COMMANDS[args.command](args, _eps_floor_from_env())
+        text, code = _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"equisum: {exc}", file=sys.stderr)
         return EXIT_USAGE

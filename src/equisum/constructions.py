@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .feasibility import (
 )
 from .geometry import circumradius_sq, regular_simplex
 from .mixednorm import PointSet
-from .realnum import DEFAULT_EPS_FLOOR
 
 
 class InfeasibleConstructionError(Exception):
@@ -169,15 +167,13 @@ def _swap(result: ConstructionResult) -> ConstructionResult:
     return ConstructionResult(point_set=swapped, zeta=result.zeta, parameters=result.parameters)
 
 
-def construct(
-    a: int, b: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR
-) -> ConstructionResult:
+def construct(a: int, b: int) -> ConstructionResult:
     """Build an equilateral set of size a + b + 1 for any feasible pair.
 
     Dispatches on the verdict; for a > b the set is built for (b, a) and the
     two components of every point are exchanged, with `swapped` set.
     """
-    verdict = classify(a, b, eps_floor)
+    verdict = classify(a, b)
     if verdict.kind is VerdictKind.PROP1:
         if a == 1:
             return construct_prop1(b)
@@ -185,5 +181,5 @@ def construct(
     if verdict.kind is VerdictKind.PROP2:
         return construct_prop2(a)
     if verdict.kind is VerdictKind.SWAP_AND_RECURSE:
-        return _swap(construct(b, a, eps_floor))
+        return _swap(construct(b, a))
     return _build_theorem(a, b, verdict)

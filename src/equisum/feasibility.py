@@ -14,10 +14,11 @@ That configuration exists iff
 
 with d_m^2 = m/(2m+2) the exact squared circumradius.  The d^2 factors are
 exact rationals, so deciding the inequality reduces to the certified sign
-of a rational combination of three square-root enclosures.  The sweep's
-decisions (the inequality and the threshold lemma) evaluate that
-combination on integers over one common denominator; the proof-step checks
-compose `Enclosure`s.
+of a rational combination of three square-root enclosures.  Every
+certified decision here (the inequality, the threshold lemma and the
+proof-step checks) evaluates its margin on integers over one common
+denominator, `_squares_margin`, and resolves its sign against the fixed
+precision floor `realnum.DEFAULT_EPS_FLOOR`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .geometry import circumradius_sq
 from .realnum import (
-    DEFAULT_EPS_FLOOR,
+    DEFAULT_EPS_START,
     Enclosure,
     Sign,
     enclose_sqrt,
@@ -90,7 +92,9 @@ def derive_parameters(a: int, b: int) -> Parameters:
     return Parameters(a=a, b=b, c=c, alpha=a + 1 - beta, beta=beta)
 
 
-# benchmarks/spans.py looks up this name and reads its cache
+# f_enclosure and g_enclosure decide nothing: benchmarks/spans.py looks up
+# their names and reads their caches, and the tests compose them as the
+# reference for the integer margins below.
 @lru_cache(maxsize=None)
 def f_enclosure(n: int, eps: Fraction) -> Enclosure:
     """Enclosure of f(n) = 1 - sqrt(n/(n+1)) with width <= eps."""
@@ -104,7 +108,6 @@ def g_radicand(c: int) -> Fraction:
     return Fraction(1, 2) * (Fraction(c - 1, c) + Fraction(c, c + 1))
 
 
-# benchmarks/spans.py looks up this name and reads its cache
 @lru_cache(maxsize=None)
 def g_enclosure(c: int, eps: Fraction) -> Enclosure:
     """Enclosure of g(c) with width <= eps; the radicand is exact."""
@@ -124,9 +127,10 @@ def _one_minus_sqrt_squared(q: Fraction, m: int) -> tuple[int, int, int]:
     return (den - s_hi) ** 2, (den - s_lo) ** 2, den * den
 
 
-# Integer forms of f_enclosure and g_enclosure for the sweep.  They are
-# keyed on the integer accuracy m (2^(k+3) at schedule step eps = 2^-k), so a
-# lookup hashes integers: hashing a Fraction costs as much as the arithmetic.
+# Integer forms of f_enclosure and g_enclosure for every decision.  They are
+# keyed on the integer accuracy m of `_accuracy` (2^(k+3) for the sweep's step
+# eps = 2^-k), so a lookup hashes integers: hashing a Fraction costs as much
+# as the arithmetic.
 @lru_cache(maxsize=None)
 def _f_squared(n: int, m: int) -> tuple[int, int, int]:
     return _one_minus_sqrt_squared(Fraction(n, n + 1), m)
@@ -138,22 +142,33 @@ def _g_squared(c: int, m: int) -> tuple[int, int, int]:
 
 
 def _squares_margin(
-    g: tuple[int, int, int], terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    x: tuple[int, int, int], terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
 ) -> Enclosure:
-    """Enclosure of g^2 - sum of w f^2 over one common integer denominator.
+    """Enclosure of x - sum of w y over one common integer denominator.
 
-    g and each f are (lo^2, hi^2, D^2) of nonnegative enclosures; each term
-    is (num, den, f) with weight w = num/den >= 0.  The endpoints equal, as
-    rationals, those of the `Enclosure` composition g.square() minus each
-    f.square().scale(w); only the two final endpoints become Fractions.
+    x and each y are (lo, hi, D) of enclosures [lo, hi]/D; each term is
+    (num, den, y) with weight w = num/den >= 0.  The endpoints equal, as
+    rationals, those of the `Enclosure` composition x minus each y.scale(w);
+    only the two final endpoints become Fractions.
     """
-    lo, hi, den = g
-    for num, w_den, (f_lo, f_hi, f_den) in terms:
-        t = w_den * f_den
-        lo = lo * t - num * f_hi * den
-        hi = hi * t - num * f_lo * den
+    lo, hi, den = x
+    for num, w_den, (y_lo, y_hi, y_den) in terms:
+        t = w_den * y_den
+        lo = lo * t - num * y_hi * den
+        hi = hi * t - num * y_lo * den
         den *= t
     return Enclosure(Fraction(lo, den), Fraction(hi, den))
+
+
+def _product(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(lo, hi, D) of the product of two nonnegative enclosures."""
+    return x[0] * y[0], x[1] * y[1], x[2] * y[2]
+
+
+def _accuracy(eps: Fraction, parts: int) -> int:
+    """ceil(parts/eps): the `sqrt_bracket` accuracy m at which each
+    component enclosure has width <= eps/parts."""
+    return -(-parts * eps.denominator // eps.numerator)
 
 
 def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
@@ -165,22 +180,20 @@ def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
     (alpha-1)/(2 alpha); with beta in {0, 1} the second simplex is empty or
     a point and has no term.
     """
-    m = -(-8 * eps.denominator // eps.numerator)  # ceil(1/(eps/8))
+    m = _accuracy(eps, 8)
     terms = ((p.alpha - 1, 2 * p.alpha, _f_squared(p.c - 1, m)),)
     if p.beta > 1:
         terms += ((p.beta - 1, 2 * p.beta, _f_squared(p.c, m)),)
     return _squares_margin(_g_squared(p.c, m), terms)
 
 
-def check_inequality(
-    p: Parameters, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR
-) -> FeasibilityVerdict:
+def check_inequality(p: Parameters) -> FeasibilityVerdict:
     """Certified decision of the feasibility inequality for parameters p.
 
     Equality would come back INDETERMINATE (and is reported as such); it is
     never silently coerced to holds or fails.
     """
-    sign, enc = sign_with_enclosure(lambda eps: inequality_margin(p, eps), eps_floor)
+    sign, enc = sign_with_enclosure(lambda eps: inequality_margin(p, eps))
     if sign is Sign.POSITIVE:
         kind = VerdictKind.INEQUALITY_HOLDS
     elif sign is Sign.NEGATIVE:
@@ -190,9 +203,7 @@ def check_inequality(
     return FeasibilityVerdict(kind=kind, params=p, margin=enc)
 
 
-def classify(
-    a: int, b: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR
-) -> FeasibilityVerdict:
+def classify(a: int, b: int) -> FeasibilityVerdict:
     """Dispatch a pair (a, b) to the construction that covers it.
 
     a = 1 or b = 1 -> PROP1; a = b -> PROP2; a > b -> SWAP_AND_RECURSE
@@ -211,7 +222,7 @@ def classify(
     p = derive_parameters(a, b)
     if p.beta in (0, 1, a):
         return FeasibilityVerdict(kind=VerdictKind.BETA_TRIVIAL, params=p)
-    return check_inequality(p, eps_floor)
+    return check_inequality(p)
 
 
 def lemma_applies(a: int, b: int) -> bool:
@@ -237,7 +248,45 @@ def d2_pair_bound_holds(a: int) -> bool:
     )
 
 
-def lemma_certificate(a: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR) -> bool:
+def _certify(
+    margin: Callable[[int, int], Enclosure], k: int, parts: int, eps_start: Fraction = DEFAULT_EPS_START
+) -> bool:
+    """Certified sign of the real that margin(k, m) encloses at accuracy m.
+
+    Components are requested at eps/parts on the refinement schedule from
+    eps_start.  True when the margin is certified positive, False when
+    negative; a margin still undecided at the precision floor raises
+    IndeterminateSignError.
+    """
+    sign, _ = sign_with_enclosure(lambda eps: margin(k, _accuracy(eps, parts)), eps_start=eps_start)
+    if sign is Sign.INDETERMINATE:
+        raise IndeterminateSignError(f"{margin.__name__} undecided at {k}")
+    return sign is Sign.POSITIVE
+
+
+def _lemma_margin(a: int, m: int) -> Enclosure:
+    """g(a)^2 - ((a-1)/(a+1)) f(a-1)^2."""
+    return _squares_margin(_g_squared(a, m), ((a - 1, a + 1, _f_squared(a - 1, m)),))
+
+
+def _f_step_margin(n: int, m: int) -> Enclosure:
+    """f(n)^2 - f(n+1)^2; both f are positive, so its sign is that of
+    f(n) - f(n+1)."""
+    return _squares_margin(_f_squared(n, m), ((1, 1, _f_squared(n + 1, m)),))
+
+
+def _ratio_margin(c: int, m: int) -> Enclosure:
+    """g(c+1)^2 f(c-1)^2 - g(c)^2 f(c)^2."""
+    lhs = _product(_g_squared(c + 1, m), _f_squared(c - 1, m))
+    return _squares_margin(lhs, ((1, 1, _product(_g_squared(c, m), _f_squared(c, m))),))
+
+
+def _apex_margin(c: int, m: int) -> Enclosure:
+    """g(c)^2 - (1/2) f(c-1)^2."""
+    return _squares_margin(_g_squared(c, m), ((1, 2, _f_squared(c - 1, m)),))
+
+
+def lemma_certificate(a: int) -> bool:
     """Certify the two facts behind the b >= a^2 + a threshold.
 
     (i)  ((a-1)/(a+1)) f(a-1)^2 < g(a)^2, via enclosures;
@@ -246,68 +295,36 @@ def lemma_certificate(a: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR) -> 
     """
     if a < 2:
         raise ValueError(f"lemma_certificate: a must be >= 2, got {a}")
-
-    def margin(eps: Fraction) -> Enclosure:
-        m = -(-8 * eps.denominator // eps.numerator)  # components at eps/8
-        return _squares_margin(_g_squared(a, m), ((a - 1, a + 1, _f_squared(a - 1, m)),))
-
-    sign, _ = sign_with_enclosure(margin, eps_floor)
-    if sign is Sign.INDETERMINATE:
-        raise IndeterminateSignError(f"lemma_certificate undecided at a={a}")
-    return sign is Sign.POSITIVE and d2_pair_bound_holds(a)
+    return _certify(_lemma_margin, a, 8) and d2_pair_bound_holds(a)
 
 
-def certified_f_decreasing(n: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR) -> bool:
-    """Certify f(n) > f(n+1) by separating the two enclosures."""
+def certified_f_decreasing(n: int) -> bool:
+    """Certify f(n) > f(n+1) by separating the enclosures of their squares."""
     if n < 1:
         raise ValueError(f"certified_f_decreasing: n must be >= 1, got {n}")
-
-    def diff(eps: Fraction) -> Enclosure:
-        return f_enclosure(n, eps / 2) - f_enclosure(n + 1, eps / 2)
-
-    sign, _ = sign_with_enclosure(diff, eps_floor)
-    if sign is Sign.INDETERMINATE:
-        raise IndeterminateSignError(f"f monotonicity undecided at n={n}")
-    return sign is Sign.POSITIVE
+    return _certify(_f_step_margin, n, 2)
 
 
-def certified_ratio_increasing(c: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR) -> bool:
+def certified_ratio_increasing(c: int) -> bool:
     """Certify (g(c+1)/f(c))^2 > (g(c)/f(c-1))^2.
 
     Cross-multiplied to g(c+1)^2 f(c-1)^2 - g(c)^2 f(c)^2 > 0 so only
-    products of enclosures are needed.  The consecutive difference scales
-    like 1/c^5, so refinement starts there instead of at the default.
+    products of nonnegative enclosures are needed.  The consecutive
+    difference scales like 1/c^5, so refinement starts there instead of at
+    the default.
     """
     if c < 2:
         raise ValueError(f"certified_ratio_increasing: c must be >= 2, got {c}")
-
-    def diff(eps: Fraction) -> Enclosure:
-        e = eps / 16
-        lhs = g_enclosure(c + 1, e).square() * f_enclosure(c - 1, e).square()
-        rhs = g_enclosure(c, e).square() * f_enclosure(c, e).square()
-        return lhs - rhs
-
-    sign, _ = sign_with_enclosure(diff, eps_floor, eps_start=Fraction(1, 8 * c**5))
-    if sign is Sign.INDETERMINATE:
-        raise IndeterminateSignError(f"ratio monotonicity undecided at c={c}")
-    return sign is Sign.POSITIVE
+    return _certify(_ratio_margin, c, 16, Fraction(1, 8 * c**5))
 
 
-def certified_apex_inequality(c: int, eps_floor: Fraction | int = DEFAULT_EPS_FLOOR) -> bool:
+def certified_apex_inequality(c: int) -> bool:
     """Certify f(c-1)^2 < 2 g(c)^2, the solvability of the single-apex
     offset in the beta in {1, a} constructions.
 
-    The margin behaves like 1/(4 c^2), hence the c-dependent starting
+    The margin behaves like 1/(8 c^2), hence the c-dependent starting
     precision; the halving schedule below it is unchanged.
     """
     if c < 2:
         raise ValueError(f"certified_apex_inequality: c must be >= 2, got {c}")
-
-    def diff(eps: Fraction) -> Enclosure:
-        e = eps / 8
-        return g_enclosure(c, e).square().scale(2) - f_enclosure(c - 1, e).square()
-
-    sign, _ = sign_with_enclosure(diff, eps_floor, eps_start=Fraction(1, 8 * c * c))
-    if sign is Sign.INDETERMINATE:
-        raise IndeterminateSignError(f"apex inequality undecided at c={c}")
-    return sign is Sign.POSITIVE
+    return _certify(_apex_margin, c, 8, Fraction(1, 8 * c * c))

@@ -57,7 +57,7 @@ class SweepReport:
     conclusive: bool
 
 
-def _margin_strings(margin: Enclosure | None) -> tuple[str | None, str | None]:
+def margin_strings(margin: Enclosure | None) -> tuple[str | None, str | None]:
     if margin is None:
         return None, None
     return (
@@ -66,7 +66,7 @@ def _margin_strings(margin: Enclosure | None) -> tuple[str | None, str | None]:
     )
 
 
-def evaluate_pair(a: int, b: int, eps_floor: Fraction = DEFAULT_EPS_FLOOR) -> SweepRecord:
+def evaluate_pair(a: int, b: int) -> SweepRecord:
     """Classify one pair b > a >= 2 into a sweep record."""
     p = derive_parameters(a, b)
     covered = lemma_applies(a, b)
@@ -76,9 +76,9 @@ def evaluate_pair(a: int, b: int, eps_floor: Fraction = DEFAULT_EPS_FLOOR) -> Sw
         # certified once per a by the lemma certificate; not re-decided here
         kind, margin = VerdictKind.INEQUALITY_HOLDS, None
     else:
-        verdict = feasibility.check_inequality(p, eps_floor)
+        verdict = feasibility.check_inequality(p)
         kind, margin = verdict.kind, verdict.margin
-    lo, hi = _margin_strings(margin)
+    lo, hi = margin_strings(margin)
     return SweepRecord(
         a=a,
         b=b,
@@ -92,16 +92,14 @@ def evaluate_pair(a: int, b: int, eps_floor: Fraction = DEFAULT_EPS_FLOOR) -> Sw
     )
 
 
-def _evaluate_chunk(args: tuple[list[tuple[int, int]], Fraction]) -> list[SweepRecord]:
-    pairs, eps_floor = args
-    return [evaluate_pair(a, b, eps_floor) for a, b in pairs]
+def _evaluate_chunk(pairs: list[tuple[int, int]]) -> list[SweepRecord]:
+    return [evaluate_pair(a, b) for a, b in pairs]
 
 
 def run_sweep(
     a_min: int,
     a_max: int,
     b_max: int | None = None,
-    eps_floor: Fraction = DEFAULT_EPS_FLOOR,
     jobs: int = 1,
 ) -> SweepReport:
     """Scan all pairs with a in [a_min, a_max] and a < b <= B.
@@ -128,15 +126,15 @@ def run_sweep(
     # a worker gets at least two pairs, or the pool costs more than it saves
     workers = min(jobs, os.cpu_count() or 1, len(pairs) // 2)
     if workers <= 1:
-        records = [evaluate_pair(a, b, eps_floor) for a, b in pairs]
+        records = [evaluate_pair(a, b) for a, b in pairs]
     else:
-        chunks = [(pairs[i::workers], eps_floor) for i in range(workers)]
+        chunks = [pairs[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_evaluate_chunk, chunks))
         records = [rec for part in parts for rec in part]
         records.sort(key=lambda r: (r.a, r.b))
 
-    lemma_certified = [a for a in lemma_relied if lemma_certificate(a, eps_floor)]
+    lemma_certified = [a for a in lemma_relied if lemma_certificate(a)]
     failing = sorted((r.a, r.b) for r in records if r.verdict == VerdictKind.INEQUALITY_FAILS.value)
     conclusive = (
         all(r.verdict != VerdictKind.INDETERMINATE.value for r in records)
@@ -147,7 +145,7 @@ def run_sweep(
         "a_max": a_max,
         "b_policy": "UpToLemma" if b_max is None else "Explicit",
         "b_max": b_max,
-        "eps_floor": str(Fraction(eps_floor)),
+        "eps_floor": str(DEFAULT_EPS_FLOOR),
     }
     return SweepReport(
         records=records,

@@ -1,4 +1,5 @@
-"""Each demo script runs to the end and prints its narrative."""
+"""Each demo script runs to the end and prints its narrative, the same on
+every run."""
 
 import contextlib
 import io
@@ -18,9 +19,18 @@ def test_all_demos_found():
     ]
 
 
+def run_demo(demo: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        runpy.run_path(str(demo), run_name="__main__")
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs(demo):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(demo), run_name="__main__")
-    assert out.getvalue().strip()
+    assert run_demo(demo).strip()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_stdout_repeats(demo):
+    assert run_demo(demo) == run_demo(demo)

@@ -1,14 +1,15 @@
 """Out-of-range input ends in a documented exit code before any work starts:
-non-finite or mistyped point-set JSON and a set of more points than verify
-takes (65), construct's dimensions, the precision exponent, --jobs and
-verify's --rel-tol (64)."""
+non-finite or mistyped point-set JSON, a file larger than verify reads and a
+set of more points than verify takes (65), construct's dimensions, --jobs
+and verify's --rel-tol (64)."""
 
 import json
 
 import pytest
 
 from equisum import cli, sweep
-from equisum.mixednorm import pointset_from_json, verify_equilateral
+from equisum.constructions import construct
+from equisum.mixednorm import pointset_from_json, pointset_to_json, verify_equilateral
 
 INFINITE_LAMBDA = (
     '{"a":1,"b":1,"lambda":Infinity,"swapped":false,"provenance":"x",'
@@ -155,18 +156,19 @@ class TestVerifyPointBound:
         assert (report["n_points"], report["worst_pair"]) == (1001, [0, 1000])
 
 
-class TestPrecisionExponentBound:
-    @pytest.mark.parametrize("raw", [str(cli.MAX_PRECISION_FLOOR_EXP + 1), "1000000000000", "0"])
-    def test_out_of_range_exits_64(self, monkeypatch, capsys, raw):
-        # rejected from the integer alone: 2**raw is never computed
-        monkeypatch.setenv(cli.ENV_PRECISION_FLOOR, raw)
-        assert cli.main(["check", "--a", "5", "--b", "8"]) == cli.EXIT_USAGE
-        assert capsys.readouterr().out == ""
+class TestVerifyFileBound:
+    def test_one_byte_over_exits_65_before_parsing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "pointset_from_json", _reached)
+        path = tmp_path / "s.json"
+        path.write_bytes(b" " * (cli.MAX_VERIFY_BYTES + 1))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and "larger than" in err
 
-    def test_bound_itself_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.ENV_PRECISION_FLOOR, str(cli.MAX_PRECISION_FLOOR_EXP))
-        assert cli.main(["check", "--a", "5", "--b", "8"]) == cli.EXIT_OK
-        assert json.loads(capsys.readouterr().out)["kind"] == "InequalityHolds"
+    def test_largest_constructed_set_fits(self):
+        # a + b = 1000 at a = 1 (or b = 1) gives the longest JSON construct emits
+        text = pointset_to_json(construct(1, cli.MAX_CONSTRUCT_DIM - 1).point_set)
+        assert len(text.encode()) <= cli.MAX_VERIFY_BYTES
 
 
 class _NoPool:

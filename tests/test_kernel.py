@@ -8,7 +8,16 @@ from math import isqrt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from equisum.feasibility import (
+    IndeterminateSignError,
+    _accuracy,
+    _apex_margin,
+    _certify,
+    _f_step_margin,
+    _lemma_margin,
+    _ratio_margin,
     derive_parameters,
     f_enclosure,
     g_enclosure,
@@ -119,6 +128,55 @@ class TestIntegerMarginMatchesComposition:
     def test_lemma_certificate_sign(self):
         for a in range(2, 61):
             assert lemma_certificate(a) == (composed_lemma_sign(a) is Sign.POSITIVE)
+
+
+class TestProofStepMarginsMatchComposition:
+    """Each integer margin equals, as rationals, the same margin composed
+    from f_enclosure/g_enclosure with components at eps/parts, over the
+    ranges of acceptance criteria 3 and 6."""
+
+    @staticmethod
+    def epsilons(start):
+        # the check's own start (not dyadic for most arguments) and 2^-20
+        return (start, Fraction(1, 2**20))
+
+    def test_lemma(self):
+        for a in range(2, 61):
+            for eps in self.epsilons(Fraction(1, 3 * 2**20)):
+                e = eps / 8
+                lhs = f_enclosure(a - 1, e).square().scale(Fraction(a - 1, a + 1))
+                composed = g_enclosure(a, e).square() - lhs
+                assert _lemma_margin(a, _accuracy(eps, 8)) == composed
+
+    def test_apex(self):
+        for c in range(2, 10**4 + 1):
+            for eps in self.epsilons(Fraction(1, 8 * c * c)):
+                e = eps / 8
+                lhs = f_enclosure(c - 1, e).square().scale(Fraction(1, 2))
+                composed = g_enclosure(c, e).square() - lhs
+                assert _apex_margin(c, _accuracy(eps, 8)) == composed
+
+    def test_f_step(self):
+        for n in range(1, 101):
+            for eps in self.epsilons(Fraction(1, 3 * 2**20)):
+                e = eps / 2
+                composed = f_enclosure(n, e).square() - f_enclosure(n + 1, e).square()
+                assert _f_step_margin(n, _accuracy(eps, 2)) == composed
+
+    def test_ratio(self):
+        for c in range(2, 101):
+            for eps in self.epsilons(Fraction(1, 8 * c**5)):
+                e = eps / 16
+                lhs = g_enclosure(c + 1, e).square() * f_enclosure(c - 1, e).square()
+                rhs = g_enclosure(c, e).square() * f_enclosure(c, e).square()
+                assert _ratio_margin(c, _accuracy(eps, 16)) == lhs - rhs
+
+    def test_exact_zero_margin_raises(self):
+        def zero_margin(k, m):
+            return Enclosure.point(0)
+
+        with pytest.raises(IndeterminateSignError, match="zero_margin undecided at 5"):
+            _certify(zero_margin, 5, 8)
 
 
 class TestGoldenSweep:
