@@ -34,7 +34,7 @@ from .mixednorm import (
     pointset_to_json,
     verify_equilateral,
 )
-from .sweep import emit_report_csv, emit_report_json, margin_strings, run_sweep
+from .sweep import emit_report_csv, emit_report_json, fraction_to_decimal_str, run_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -67,7 +67,8 @@ def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
     if v.params is not None:
         obj.update(c=v.params.c, alpha=v.params.alpha, beta=v.params.beta)
     if v.margin is not None:
-        obj["margin_lo"], obj["margin_hi"] = margin_strings(v.margin)
+        obj["margin_lo"] = fraction_to_decimal_str(v.margin.lo)
+        obj["margin_hi"] = fraction_to_decimal_str(v.margin.hi)
     return obj
 
 

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import (
-    FeasibilityVerdict,
-    Parameters,
-    VerdictKind,
-    classify,
-)
+from .feasibility import FeasibilityVerdict, Parameters, VerdictKind, classify
 from .geometry import circumradius_sq, regular_simplex
 from .mixednorm import PointSet
 

@@ -16,9 +16,10 @@ with d_m^2 = m/(2m+2) the exact squared circumradius.  The d^2 factors are
 exact rationals, so deciding the inequality reduces to the certified sign
 of a rational combination of three square-root enclosures.  Every
 certified decision here (the inequality, the threshold lemma and the
-proof-step checks) evaluates its margin on integers over one common
-denominator, `_squares_margin`, and resolves its sign against the fixed
-precision floor `realnum.DEFAULT_EPS_FLOOR`.
+proof-step checks) evaluates its margin as integers (lo, hi, D) over one
+common denominator and resolves its sign in one integer loop, `_refine`,
+against the fixed precision floor `realnum.DEFAULT_EPS_FLOOR`; an
+`Enclosure` is built only for a caller that asks for one.
 """
 
 from __future__ import annotations
@@ -30,14 +31,10 @@ from functools import lru_cache
 from typing import Callable
 
 from .geometry import circumradius_sq
-from .realnum import (
-    DEFAULT_EPS_START,
-    Enclosure,
-    Sign,
-    enclose_sqrt,
-    sign_with_enclosure,
-    sqrt_bracket,
-)
+from .realnum import DEFAULT_EPS_FLOOR, DEFAULT_EPS_START, Enclosure, Sign, enclose_sqrt, sqrt_bracket
+
+Margin = tuple[int, int, int]  # (lo, hi, D): the enclosure [lo/D, hi/D], D > 0
+_START, _FLOOR = DEFAULT_EPS_START.denominator, DEFAULT_EPS_FLOOR.denominator  # both numerators are 1
 
 
 class IndeterminateSignError(Exception):
@@ -116,7 +113,7 @@ def g_enclosure(c: int, eps: Fraction) -> Enclosure:
     return Enclosure.point(1) - enclose_sqrt(g_radicand(c), eps)
 
 
-def _one_minus_sqrt_squared(q: Fraction, m: int) -> tuple[int, int, int]:
+def _one_minus_sqrt_squared(q: Fraction, m: int) -> Margin:
     """(lo^2, hi^2, D^2) for the enclosure [lo, hi]/D of 1 - sqrt(q) that
     `Enclosure.point(1) - enclose_sqrt(q, eps)` gives when m = ceil(1/eps).
 
@@ -128,28 +125,26 @@ def _one_minus_sqrt_squared(q: Fraction, m: int) -> tuple[int, int, int]:
 
 
 # Integer forms of f_enclosure and g_enclosure for every decision.  They are
-# keyed on the integer accuracy m of `_accuracy` (2^(k+3) for the sweep's step
-# eps = 2^-k), so a lookup hashes integers: hashing a Fraction costs as much
-# as the arithmetic.
+# keyed on the integer accuracy m (2^(k+3) for the sweep's step eps = 2^-k),
+# so a lookup hashes integers: hashing a Fraction costs as much as the
+# arithmetic.
 @lru_cache(maxsize=None)
-def _f_squared(n: int, m: int) -> tuple[int, int, int]:
+def _f_squared(n: int, m: int) -> Margin:
     return _one_minus_sqrt_squared(Fraction(n, n + 1), m)
 
 
 @lru_cache(maxsize=None)
-def _g_squared(c: int, m: int) -> tuple[int, int, int]:
+def _g_squared(c: int, m: int) -> Margin:
     return _one_minus_sqrt_squared(g_radicand(c), m)
 
 
-def _squares_margin(
-    x: tuple[int, int, int], terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
-) -> Enclosure:
-    """Enclosure of x - sum of w y over one common integer denominator.
+def _squares_margin(x: Margin, terms: tuple[tuple[int, int, Margin], ...]) -> Margin:
+    """(lo, hi, D) of x - sum of w y over one common integer denominator.
 
-    x and each y are (lo, hi, D) of enclosures [lo, hi]/D; each term is
-    (num, den, y) with weight w = num/den >= 0.  The endpoints equal, as
-    rationals, those of the `Enclosure` composition x minus each y.scale(w);
-    only the two final endpoints become Fractions.
+    x and each y are margins (lo, hi, D); each term is (num, den, y) with
+    weight w = num/den >= 0.  lo/D and hi/D equal, as rationals, the
+    endpoints of the `Enclosure` composition x minus each y.scale(w); nothing
+    is reduced, so no gcd is taken.
     """
     lo, hi, den = x
     for num, w_den, (y_lo, y_hi, y_den) in terms:
@@ -157,10 +152,25 @@ def _squares_margin(
         lo = lo * t - num * y_hi * den
         hi = hi * t - num * y_lo * den
         den *= t
-    return Enclosure(Fraction(lo, den), Fraction(hi, den))
+    return lo, hi, den
 
 
-def _product(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+def _refine(margin: Callable[..., Margin], arg: object, m: int) -> tuple[Sign, int, int, int]:
+    """Sign of the real that margin(arg, m) encloses, and the deciding margin.
+    m = parts * N for a start eps = 1/N and doubles per round: on integers,
+    `sign_with_enclosure` halving eps, with the same tests in the same order."""
+    while True:
+        lo, hi, den = margin(arg, m)
+        if lo > 0:
+            return Sign.POSITIVE, lo, hi, den
+        if hi < 0:
+            return Sign.NEGATIVE, lo, hi, den
+        if (hi - lo) * _FLOOR < den:  # width < DEFAULT_EPS_FLOOR
+            return Sign.INDETERMINATE, lo, hi, den
+        m *= 2
+
+
+def _product(x: Margin, y: Margin) -> Margin:
     """(lo, hi, D) of the product of two nonnegative enclosures."""
     return x[0] * y[0], x[1] * y[1], x[2] * y[2]
 
@@ -171,36 +181,41 @@ def _accuracy(eps: Fraction, parts: int) -> int:
     return -(-parts * eps.denominator // eps.numerator)
 
 
-def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
-    """Enclosure of g(c)^2 - d_{alpha-1}^2 f(c-1)^2 - d_{beta-1}^2 f(c)^2.
+def _inequality_margin(p: Parameters, m: int) -> Margin:
+    """g(c)^2 - d_{alpha-1}^2 f(c-1)^2 - d_{beta-1}^2 f(c)^2 at accuracy m.
 
-    Component enclosures are requested at eps/8; the squares and the exact
-    rational scalings keep the combined width below eps for all arguments
-    this package evaluates.  d_m^2 = m/(2m+2), so d_{alpha-1}^2 is
-    (alpha-1)/(2 alpha); with beta in {0, 1} the second simplex is empty or
-    a point and has no term.
+    d_m^2 = m/(2m+2), so d_{alpha-1}^2 is (alpha-1)/(2 alpha); with beta in
+    {0, 1} the second simplex is empty or a point and has no term.
     """
-    m = _accuracy(eps, 8)
     terms = ((p.alpha - 1, 2 * p.alpha, _f_squared(p.c - 1, m)),)
     if p.beta > 1:
         terms += ((p.beta - 1, 2 * p.beta, _f_squared(p.c, m)),)
     return _squares_margin(_g_squared(p.c, m), terms)
 
 
-def check_inequality(p: Parameters) -> FeasibilityVerdict:
-    """Certified decision of the feasibility inequality for parameters p.
+def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
+    """Enclosure of the inequality's margin with components at eps/8; the
+    squares and exact scalings keep its width below eps."""
+    lo, hi, den = _inequality_margin(p, _accuracy(eps, 8))
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
-    Equality would come back INDETERMINATE (and is reported as such); it is
-    never silently coerced to holds or fails.
+
+_KIND = {Sign.POSITIVE: VerdictKind.INEQUALITY_HOLDS, Sign.NEGATIVE: VerdictKind.INEQUALITY_FAILS}
+
+
+def decide_inequality(p: Parameters) -> tuple[VerdictKind, int, int, int]:
+    """Certified decision of the feasibility inequality for parameters p,
+    with its deciding margin (lo, hi, D).  Equality would come back
+    INDETERMINATE; it is never silently coerced to holds or fails.
     """
-    sign, enc = sign_with_enclosure(lambda eps: inequality_margin(p, eps))
-    if sign is Sign.POSITIVE:
-        kind = VerdictKind.INEQUALITY_HOLDS
-    elif sign is Sign.NEGATIVE:
-        kind = VerdictKind.INEQUALITY_FAILS
-    else:
-        kind = VerdictKind.INDETERMINATE
-    return FeasibilityVerdict(kind=kind, params=p, margin=enc)
+    sign, lo, hi, den = _refine(_inequality_margin, p, 8 * _START)
+    return _KIND.get(sign, VerdictKind.INDETERMINATE), lo, hi, den
+
+
+def check_inequality(p: Parameters) -> FeasibilityVerdict:
+    """`decide_inequality` as a verdict whose margin is an `Enclosure`."""
+    kind, lo, hi, den = decide_inequality(p)
+    return FeasibilityVerdict(kind, p, Enclosure(Fraction(lo, den), Fraction(hi, den)))
 
 
 def classify(a: int, b: int) -> FeasibilityVerdict:
@@ -248,40 +263,38 @@ def d2_pair_bound_holds(a: int) -> bool:
     )
 
 
-def _certify(
-    margin: Callable[[int, int], Enclosure], k: int, parts: int, eps_start: Fraction = DEFAULT_EPS_START
-) -> bool:
+def _certify(margin: Callable[[int, int], Margin], k: int, parts: int, start: int = _START) -> bool:
     """Certified sign of the real that margin(k, m) encloses at accuracy m.
 
     Components are requested at eps/parts on the refinement schedule from
-    eps_start.  True when the margin is certified positive, False when
+    eps = 1/start.  True when the margin is certified positive, False when
     negative; a margin still undecided at the precision floor raises
     IndeterminateSignError.
     """
-    sign, _ = sign_with_enclosure(lambda eps: margin(k, _accuracy(eps, parts)), eps_start=eps_start)
+    sign = _refine(margin, k, parts * start)[0]
     if sign is Sign.INDETERMINATE:
         raise IndeterminateSignError(f"{margin.__name__} undecided at {k}")
     return sign is Sign.POSITIVE
 
 
-def _lemma_margin(a: int, m: int) -> Enclosure:
+def _lemma_margin(a: int, m: int) -> Margin:
     """g(a)^2 - ((a-1)/(a+1)) f(a-1)^2."""
     return _squares_margin(_g_squared(a, m), ((a - 1, a + 1, _f_squared(a - 1, m)),))
 
 
-def _f_step_margin(n: int, m: int) -> Enclosure:
+def _f_step_margin(n: int, m: int) -> Margin:
     """f(n)^2 - f(n+1)^2; both f are positive, so its sign is that of
     f(n) - f(n+1)."""
     return _squares_margin(_f_squared(n, m), ((1, 1, _f_squared(n + 1, m)),))
 
 
-def _ratio_margin(c: int, m: int) -> Enclosure:
+def _ratio_margin(c: int, m: int) -> Margin:
     """g(c+1)^2 f(c-1)^2 - g(c)^2 f(c)^2."""
     lhs = _product(_g_squared(c + 1, m), _f_squared(c - 1, m))
     return _squares_margin(lhs, ((1, 1, _product(_g_squared(c, m), _f_squared(c, m))),))
 
 
-def _apex_margin(c: int, m: int) -> Enclosure:
+def _apex_margin(c: int, m: int) -> Margin:
     """g(c)^2 - (1/2) f(c-1)^2."""
     return _squares_margin(_g_squared(c, m), ((1, 2, _f_squared(c - 1, m)),))
 
@@ -315,7 +328,7 @@ def certified_ratio_increasing(c: int) -> bool:
     """
     if c < 2:
         raise ValueError(f"certified_ratio_increasing: c must be >= 2, got {c}")
-    return _certify(_ratio_margin, c, 16, Fraction(1, 8 * c**5))
+    return _certify(_ratio_margin, c, 16, 8 * c**5)
 
 
 def certified_apex_inequality(c: int) -> bool:
@@ -327,4 +340,4 @@ def certified_apex_inequality(c: int) -> bool:
     """
     if c < 2:
         raise ValueError(f"certified_apex_inequality: c must be >= 2, got {c}")
-    return _certify(_apex_margin, c, 8, Fraction(1, 8 * c * c))
+    return _certify(_apex_margin, c, 8, 8 * c * c)

@@ -7,9 +7,9 @@ rounding step: endpoint arithmetic is itself exact, so containment is
 preserved by construction.  Sign decisions about irrational expressions are
 made by shrinking enclosures until zero is excluded; only a true zero ever
 reaches the precision floor, and that is reported as Indeterminate rather
-than guessed.  `sign_with_enclosure` makes every such decision and returns
-the deciding enclosure with the sign.  Enclosures multiply with `*`, and
-`scale` multiplies one by an exact scalar.
+than guessed.  `sign_with_enclosure` decides so for any enclosure producer;
+`feasibility` runs the same schedule and floor on integers, and the tests
+hold its decisions to this reference.
 
 A square root is bracketed by one integer square root, on the grid of
 spacing 1/(d 2^j): sqrt(n/d) lies in [k, k+1]/(d 2^j) with k = isqrt(n d 4^j).
@@ -36,12 +36,6 @@ DEFAULT_EPS_START = Fraction(1, 2**20)
 DEFAULT_EPS_FLOOR = Fraction(1, 2**200)
 
 
-def _fraction(value: Fraction | int) -> Fraction:
-    # Fraction(x) checks a Fraction argument against the numbers ABCs, which
-    # costs more than the rest of an enclosure's construction.
-    return value if type(value) is Fraction else Fraction(value)
-
-
 class Sign(enum.Enum):
     """Outcome of a certified sign decision."""
 
@@ -64,8 +58,8 @@ class Enclosure:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _fraction(self.lo))
-        object.__setattr__(self, "hi", _fraction(self.hi))
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"invalid enclosure: lo={self.lo} > hi={self.hi}")
 
@@ -169,8 +163,8 @@ def sign_with_enclosure(
     `eps_floor` with zero still inside, the answer is Indeterminate together
     with the final (tiny) enclosure as evidence.
     """
-    eps = _fraction(eps_start)
-    floor = _fraction(eps_floor)
+    eps = Fraction(eps_start)
+    floor = Fraction(eps_floor)
     if eps <= 0 or floor <= 0:
         raise ValueError("eps_start and eps_floor must be positive")
     while True:

@@ -8,34 +8,40 @@ re-decided; the lemma certificate itself is spot-checked once per a.
 
 A report is emitted as CSV or JSON, one record per pair with the fields of
 `SweepRecord` in declaration order; nothing in the package reads a report
-back.  Margins are the exact enclosure endpoints rendered to MARGIN_DIGITS
-significant digits.
+back.  A pair's margin is decided and rendered from the integers (lo, hi, D)
+of its deciding enclosure: each endpoint lo/D, hi/D is divided out, unreduced,
+to MARGIN_DIGITS significant digits.
 """
 
 from __future__ import annotations
 
-import decimal
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 
-from . import feasibility
-from .feasibility import VerdictKind, derive_parameters, lemma_applies, lemma_certificate
-from .realnum import DEFAULT_EPS_FLOOR, Enclosure
+from .feasibility import VerdictKind, decide_inequality, derive_parameters, lemma_applies, lemma_certificate
+from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
-_MARGIN_CONTEXT = decimal.Context(prec=MARGIN_DIGITS)
+_MARGIN_CONTEXT = Context(prec=MARGIN_DIGITS)
+
+
+def _decimal_str(num: int, den: int) -> str:
+    """num/den (den > 0) to MARGIN_DIGITS significant decimal digits,
+    correctly rounded (half to even).  The ideal exponent of an integer
+    quotient is 0, so a factor common to num and den changes nothing."""
+    return str(_MARGIN_CONTEXT.divide(Decimal(num), Decimal(den)))
 
 
 def fraction_to_decimal_str(q: Fraction) -> str:
-    """Render an exact rational to MARGIN_DIGITS significant decimal digits,
-    correctly rounded (half to even)."""
-    return str(_MARGIN_CONTEXT.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
+    """`_decimal_str` of an exact rational."""
+    return _decimal_str(q.numerator, q.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: frozen sets each field through object.__setattr__, 2 us a pair
 class SweepRecord:
     a: int
     b: int
@@ -57,28 +63,19 @@ class SweepReport:
     conclusive: bool
 
 
-def margin_strings(margin: Enclosure | None) -> tuple[str | None, str | None]:
-    if margin is None:
-        return None, None
-    return (
-        fraction_to_decimal_str(margin.lo),
-        fraction_to_decimal_str(margin.hi),
-    )
-
-
 def evaluate_pair(a: int, b: int) -> SweepRecord:
     """Classify one pair b > a >= 2 into a sweep record."""
     p = derive_parameters(a, b)
     covered = lemma_applies(a, b)
+    lo = hi = None
     if p.beta in (0, 1, a):
-        kind, margin = VerdictKind.BETA_TRIVIAL, None
+        kind = VerdictKind.BETA_TRIVIAL
     elif covered:
         # certified once per a by the lemma certificate; not re-decided here
-        kind, margin = VerdictKind.INEQUALITY_HOLDS, None
+        kind = VerdictKind.INEQUALITY_HOLDS
     else:
-        verdict = feasibility.check_inequality(p)
-        kind, margin = verdict.kind, verdict.margin
-    lo, hi = margin_strings(margin)
+        kind, lo_num, hi_num, den = decide_inequality(p)
+        lo, hi = _decimal_str(lo_num, den), _decimal_str(hi_num, den)
     return SweepRecord(
         a=a,
         b=b,
@@ -135,11 +132,9 @@ def run_sweep(
         records.sort(key=lambda r: (r.a, r.b))
 
     lemma_certified = [a for a in lemma_relied if lemma_certificate(a)]
-    failing = sorted((r.a, r.b) for r in records if r.verdict == VerdictKind.INEQUALITY_FAILS.value)
-    conclusive = (
-        all(r.verdict != VerdictKind.INDETERMINATE.value for r in records)
-        and lemma_certified == lemma_relied
-    )
+    fails, undecided = VerdictKind.INEQUALITY_FAILS.value, VerdictKind.INDETERMINATE.value
+    failing = sorted((r.a, r.b) for r in records if r.verdict == fails)
+    conclusive = all(r.verdict != undecided for r in records) and lemma_certified == lemma_relied
     config = {
         "a_min": a_min,
         "a_max": a_max,

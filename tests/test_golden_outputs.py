@@ -1,0 +1,110 @@
+"""Byte goldens of the command line at the feasibility boundary.
+
+The sweep over a in [2, 60] and `check` at the six pairs next to the paper's
+boundary were captured from the implementation that decided through
+`Fraction` enclosures and rendered the reduced endpoints.  The integer
+decision and the rendering of the unreduced integers must give the same
+bytes; `check` builds its margin as an `Enclosure` from those integers.
+"""
+
+import hashlib
+
+import pytest
+
+from equisum import cli
+
+SWEEP_60_CSV_SHA256 = "4de9dbad9b7815f5c6e09234471eafcccb5d1fbc75d68ca017e3ef5d4ed4c3a1"
+
+CHECK_JSON = {
+    (28, 40): """\
+{
+  "a": 28,
+  "b": 40,
+  "kind": "InequalityFails",
+  "c": 2,
+  "alpha": 18,
+  "beta": 11,
+  "margin_lo": "-0.00000833533526096113581099251115864",
+  "margin_hi": "-0.00000825155273194335254951088566973",
+  "lemma_covered": false
+}
+""",
+    (28, 41): """\
+{
+  "a": 28,
+  "b": 41,
+  "kind": "InequalityHolds",
+  "c": 2,
+  "alpha": 17,
+  "beta": 12,
+  "margin_lo": "0.00000428742730303409482476206127075",
+  "margin_hi": "0.00000437120621018447624378703729390",
+  "lemma_covered": false
+}
+""",
+    (29, 39): """\
+{
+  "a": 29,
+  "b": 39,
+  "kind": "InequalityFails",
+  "c": 2,
+  "alpha": 21,
+  "beta": 9,
+  "margin_lo": "-0.00000862127678258544087350020280381",
+  "margin_hi": "-0.00000853751176269465109466442040035",
+  "lemma_covered": false
+}
+""",
+    (29, 44): """\
+{
+  "a": 29,
+  "b": 44,
+  "kind": "InequalityFails",
+  "c": 2,
+  "alpha": 16,
+  "beta": 14,
+  "margin_lo": "-0.0000384544754204754096484802652239",
+  "margin_hi": "-0.0000383706512658808234182143923900",
+  "lemma_covered": false
+}
+""",
+    (30, 47): """\
+{
+  "a": 30,
+  "b": 47,
+  "kind": "InequalityFails",
+  "c": 2,
+  "alpha": 15,
+  "beta": 16,
+  "margin_lo": "-0.0000100608708600525965771844817532",
+  "margin_hi": "-0.00000997706197690067458299583651953",
+  "lemma_covered": false
+}
+""",
+    (27, 39): """\
+{
+  "a": 27,
+  "b": 39,
+  "kind": "InequalityHolds",
+  "c": 2,
+  "alpha": 17,
+  "beta": 11,
+  "margin_lo": "0.000131838651064963366046926395141",
+  "margin_hi": "0.000131922319490732876045781005654",
+  "lemma_covered": false
+}
+""",
+}
+
+
+def test_sweep_60_csv_digest(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--a-min", "2", "--a-max", "60", "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_60_CSV_SHA256
+
+
+@pytest.mark.parametrize("a, b", list(CHECK_JSON))
+def test_check_json_bytes(capsys, a, b):
+    assert cli.main(["check", "--a", str(a), "--b", str(b)]) == 0
+    assert capsys.readouterr().out == CHECK_JSON[a, b]
