@@ -35,12 +35,14 @@ def main():
     print("\nA tight feasibility decision: the pair (28, 41) holds by ~4e-6.")
     verdict = check_inequality(derive_parameters(28, 41))
     print(f"  verdict: {verdict.kind.value}")
-    print(f"  certified margin: [{float(verdict.margin.lo):.3e}, {float(verdict.margin.hi):.3e}]")
+    lo, hi, den = verdict.margin
+    print(f"  certified margin: [{lo / den:.3e}, {hi / den:.3e}]")
 
     print("\nIts neighbour (28, 40) fails by ~8e-6, certified on the other side.")
     verdict = check_inequality(derive_parameters(28, 40))
     print(f"  verdict: {verdict.kind.value}")
-    print(f"  certified margin: [{float(verdict.margin.lo):.3e}, {float(verdict.margin.hi):.3e}]")
+    lo, hi, den = verdict.margin
+    print(f"  certified margin: [{lo / den:.3e}, {hi / den:.3e}]")
 
     print("\nA true zero can never be signed; the refinement loop reports it.")
     sign, enc = sign_with_enclosure(

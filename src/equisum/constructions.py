@@ -165,16 +165,15 @@ def _swap(result: ConstructionResult) -> ConstructionResult:
 def construct(a: int, b: int) -> ConstructionResult:
     """Build an equilateral set of size a + b + 1 for any feasible pair.
 
-    Dispatches on the verdict; for a > b the set is built for (b, a) and the
-    two components of every point are exchanged, with `swapped` set.
+    For a > b the set is built for (b, a) and the two components of every
+    point are exchanged, with `swapped` set; otherwise it dispatches on the
+    verdict of (a, b).
     """
+    if a > b:
+        return _swap(construct(b, a))
     verdict = classify(a, b)
     if verdict.kind is VerdictKind.PROP1:
-        if a == 1:
-            return construct_prop1(b)
-        return _swap(construct_prop1(a))
+        return construct_prop1(b)
     if verdict.kind is VerdictKind.PROP2:
         return construct_prop2(a)
-    if verdict.kind is VerdictKind.SWAP_AND_RECURSE:
-        return _swap(construct(b, a))
     return _build_theorem(a, b, verdict)

@@ -18,17 +18,19 @@ of a rational combination of three square-root enclosures.  Every
 certified decision here (the inequality, the threshold lemma and the
 proof-step checks) evaluates its margin as integers (lo, hi, D) over one
 common denominator and resolves its sign in one integer loop, `_refine`,
-against the fixed precision floor `realnum.DEFAULT_EPS_FLOOR`; an
-`Enclosure` is built only for a caller that asks for one.
+against the fixed precision floor `realnum.DEFAULT_EPS_FLOOR`.
+`check_inequality` is the one entry for the inequality: its verdict carries
+the deciding margin as those integers, and the sweep, `check` and
+`construct` all read it.  No decision builds an `Enclosure`, and none a
+`Fraction` beyond the radicand of each cached square root.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .geometry import circumradius_sq
 from .realnum import DEFAULT_EPS_FLOOR, DEFAULT_EPS_START, Enclosure, Sign, enclose_sqrt, sqrt_bracket
@@ -51,8 +53,7 @@ class VerdictKind(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(NamedTuple):
     """Derived block parameters of a pair b > a >= 2; `derive_parameters`
     builds them, and tests check its identities over every sweep-60 pair."""
 
@@ -63,18 +64,19 @@ class Parameters:
     beta: int
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     """Classification of a pair (a, b), with certified margin where relevant.
 
-    `margin` encloses g(c)^2 minus the left-hand side; INEQUALITY_HOLDS is
-    only issued on a certified strictly positive margin (a certified zero
-    would surface as INDETERMINATE, never as a guess).
+    `margin` is the integer triple (lo, hi, D), D > 0, on which the
+    decision was made: [lo/D, hi/D] encloses g(c)^2 minus the left-hand
+    side.  INEQUALITY_HOLDS is only issued on a certified strictly positive
+    margin (a certified zero would surface as INDETERMINATE, never as a
+    guess).
     """
 
     kind: VerdictKind
     params: Parameters | None = None
-    margin: Enclosure | None = None
+    margin: Margin | None = None
 
     @property
     def conclusive(self) -> bool:
@@ -86,7 +88,7 @@ def derive_parameters(a: int, b: int) -> Parameters:
         raise ValueError(f"derive_parameters requires b > a >= 2, got a={a} b={b}")
     c = 1 + b // (a + 1)
     beta = b % (a + 1)
-    return Parameters(a=a, b=b, c=c, alpha=a + 1 - beta, beta=beta)
+    return Parameters(a, b, c, a + 1 - beta, beta)
 
 
 # f_enclosure and g_enclosure decide nothing: benchmarks/spans.py looks up
@@ -193,6 +195,8 @@ def _inequality_margin(p: Parameters, m: int) -> Margin:
     return _squares_margin(_g_squared(p.c, m), terms)
 
 
+# inequality_margin decides nothing: benchmarks/spans.py traces its name and
+# the tests compare it with the Enclosure composition.
 def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
     """Enclosure of the inequality's margin with components at eps/8; the
     squares and exact scalings keep its width below eps."""
@@ -203,19 +207,13 @@ def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
 _KIND = {Sign.POSITIVE: VerdictKind.INEQUALITY_HOLDS, Sign.NEGATIVE: VerdictKind.INEQUALITY_FAILS}
 
 
-def decide_inequality(p: Parameters) -> tuple[VerdictKind, int, int, int]:
+def check_inequality(p: Parameters) -> FeasibilityVerdict:
     """Certified decision of the feasibility inequality for parameters p,
-    with its deciding margin (lo, hi, D).  Equality would come back
+    with the margin (lo, hi, D) it was decided on.  Equality would come back
     INDETERMINATE; it is never silently coerced to holds or fails.
     """
     sign, lo, hi, den = _refine(_inequality_margin, p, 8 * _START)
-    return _KIND.get(sign, VerdictKind.INDETERMINATE), lo, hi, den
-
-
-def check_inequality(p: Parameters) -> FeasibilityVerdict:
-    """`decide_inequality` as a verdict whose margin is an `Enclosure`."""
-    kind, lo, hi, den = decide_inequality(p)
-    return FeasibilityVerdict(kind, p, Enclosure(Fraction(lo, den), Fraction(hi, den)))
+    return FeasibilityVerdict(_KIND.get(sign, VerdictKind.INDETERMINATE), p, (lo, hi, den))
 
 
 def classify(a: int, b: int) -> FeasibilityVerdict:

@@ -18,13 +18,11 @@ import numpy as np
 def circumradius_sq(n: int) -> Fraction:
     """Exact squared circumradius n/(2n+2) of a unit-side regular n-simplex.
 
-    By convention a 0-simplex (a single point) has circumradius 0, which
-    lets degenerate simplices share the general feasibility formulas.
+    At n = 0 (a single point) it is 0, which lets degenerate simplices share
+    the general feasibility formulas.
     """
     if n < 0:
         raise ValueError(f"circumradius_sq: n must be >= 0, got {n}")
-    if n == 0:
-        return Fraction(0)
     return Fraction(n, 2 * n + 2)
 
 

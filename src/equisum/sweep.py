@@ -1,16 +1,17 @@
 """Scan (a, b) ranges and reproduce the feasibility boundary table.
 
 Every pair is an independent pure computation, so the scan may run across
-processes; results are merged by (a, b) and the emitted artifacts are
-byte-identical regardless of worker count.  Pairs at or beyond the
-threshold b >= a^2 + a are covered by the certified lemma rather than
-re-decided; the lemma certificate itself is spot-checked once per a.
+processes; the pool returns the records in input order, so the emitted
+artifacts are byte-identical regardless of worker count.  Pairs at or
+beyond the threshold b >= a^2 + a are covered by the certified lemma rather
+than re-decided; the lemma certificate itself is spot-checked once per a.
 
 A report is emitted as CSV or JSON, one record per pair with the fields of
 `SweepRecord` in declaration order; nothing in the package reads a report
-back.  A pair's margin is decided and rendered from the integers (lo, hi, D)
-of its deciding enclosure: each endpoint lo/D, hi/D is divided out, unreduced,
-to MARGIN_DIGITS significant digits.
+back.  A pair's margin is rendered from the integers (lo, hi, D) of the
+verdict `check_inequality` returns: each endpoint lo/D, hi/D is divided out,
+unreduced, to MARGIN_DIGITS significant digits.  `check` renders the same
+way, through `margin_strings`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 
-from .feasibility import VerdictKind, decide_inequality, derive_parameters, lemma_applies, lemma_certificate
+from .feasibility import Margin, VerdictKind, check_inequality, derive_parameters, lemma_applies, lemma_certificate
 from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
@@ -36,6 +37,14 @@ def _decimal_str(num: int, den: int) -> str:
     return str(_MARGIN_CONTEXT.divide(Decimal(num), Decimal(den)))
 
 
+def margin_strings(margin: Margin) -> tuple[str, str]:
+    """The endpoints lo/D and hi/D of a margin (lo, hi, D), rendered."""
+    lo, hi, den = margin
+    return _decimal_str(lo, den), _decimal_str(hi, den)
+
+
+# fraction_to_decimal_str renders nothing in the package: benchmarks/spans.py
+# traces its name and the tests render the Fraction reference with it.
 def fraction_to_decimal_str(q: Fraction) -> str:
     """`_decimal_str` of an exact rational."""
     return _decimal_str(q.numerator, q.denominator)
@@ -74,8 +83,8 @@ def evaluate_pair(a: int, b: int) -> SweepRecord:
         # certified once per a by the lemma certificate; not re-decided here
         kind = VerdictKind.INEQUALITY_HOLDS
     else:
-        kind, lo_num, hi_num, den = decide_inequality(p)
-        lo, hi = _decimal_str(lo_num, den), _decimal_str(hi_num, den)
+        kind, _, margin = check_inequality(p)
+        lo, hi = margin_strings(margin)
     return SweepRecord(
         a=a,
         b=b,
@@ -89,10 +98,6 @@ def evaluate_pair(a: int, b: int) -> SweepRecord:
     )
 
 
-def _evaluate_chunk(pairs: list[tuple[int, int]]) -> list[SweepRecord]:
-    return [evaluate_pair(a, b) for a, b in pairs]
-
-
 def run_sweep(
     a_min: int,
     a_max: int,
@@ -104,32 +109,32 @@ def run_sweep(
     B is a^2 + a - 1 when b_max is None (everything beyond is covered by the
     lemma and needs no records) or b_max when given explicitly.  At most
     `jobs` worker processes run, and never more than the CPU count or half
-    the number of pairs.  The merge is keyed on (a, b), so worker count never
-    changes the report.
+    the number of pairs.  Records come back in input order, so worker count
+    never changes the report.
     """
     if not 2 <= a_min <= a_max:
         raise ValueError(f"run_sweep requires 2 <= a_min <= a_max, got [{a_min}, {a_max}]")
     if jobs < 1:
         raise ValueError(f"run_sweep: jobs must be >= 1, got {jobs}")
 
-    pairs: list[tuple[int, int]] = []
+    as_: list[int] = []
+    bs: list[int] = []
     lemma_relied: list[int] = []
     for a in range(a_min, a_max + 1):
         top = a * a + a - 1 if b_max is None else b_max
-        pairs.extend((a, b) for b in range(a + 1, top + 1))
+        as_.extend([a] * (top - a))  # empty when top <= a
+        bs.extend(range(a + 1, top + 1))
         if b_max is None or b_max >= a * a + a:
             lemma_relied.append(a)
 
     # a worker gets at least two pairs, or the pool costs more than it saves
-    workers = min(jobs, os.cpu_count() or 1, len(pairs) // 2)
+    workers = min(jobs, os.cpu_count() or 1, len(bs) // 2)
     if workers <= 1:
-        records = [evaluate_pair(a, b) for a, b in pairs]
+        records = list(map(evaluate_pair, as_, bs))
     else:
-        chunks = [pairs[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_evaluate_chunk, chunks))
-        records = [rec for part in parts for rec in part]
-        records.sort(key=lambda r: (r.a, r.b))
+            # one contiguous chunk per worker
+            records = list(pool.map(evaluate_pair, as_, bs, chunksize=-(-len(bs) // workers)))
 
     lemma_certified = [a for a in lemma_relied if lemma_certificate(a)]
     fails, undecided = VerdictKind.INEQUALITY_FAILS.value, VerdictKind.INDETERMINATE.value

@@ -91,7 +91,7 @@ class TestConstructTheorem:
         with pytest.raises(InfeasibleConstructionError) as excinfo:
             construct(28, 40)
         assert excinfo.value.verdict.kind is VerdictKind.INEQUALITY_FAILS
-        assert excinfo.value.verdict.margin.hi < 0
+        assert excinfo.value.verdict.margin[1] < 0  # hi of (lo, hi, D), D > 0
 
     def test_cross_simplex_distances_match_g(self):
         # for (5, 8): w-to-z distances in the first factor all equal g(2)

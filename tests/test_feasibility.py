@@ -127,15 +127,18 @@ class TestCheckInequality:
         v = check_inequality(derive_parameters(a, b))
         assert v.kind is kind
         assert v.margin is not None
+        lo, hi, den = v.margin
+        assert den > 0
         if kind is VerdictKind.INEQUALITY_HOLDS:
-            assert v.margin.lo > 0
+            assert lo > 0
         else:
-            assert v.margin.hi < 0
+            assert hi < 0
 
     def test_margin_contains_float_estimate(self):
         v = check_inequality(derive_parameters(5, 8))
         est = float_margin(5, 8)  # ~ 0.0558 - 0.0406
-        assert v.margin.lo <= Fraction(est).limit_denominator(10**15) <= v.margin.hi
+        lo, hi, den = v.margin
+        assert Fraction(lo, den) <= Fraction(est).limit_denominator(10**15) <= Fraction(hi, den)
         assert 0.0151 < est < 0.0153
 
     def test_agreement_with_float_oracle_small_range(self):

@@ -190,8 +190,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def map(self, fn, *iterables, chunksize=1):
+        return list(map(fn, *iterables))
 
 
 class TestJobsBound:

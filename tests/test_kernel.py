@@ -24,7 +24,6 @@ from equisum.feasibility import (
     _refine,
     _squares_margin,
     check_inequality,
-    decide_inequality,
     derive_parameters,
     f_enclosure,
     g_enclosure,
@@ -235,9 +234,9 @@ class TestIntegerDecisionMatchesReference:
     @given(p=main_case_pairs())
     def test_decision_and_strings(self, p):
         sign, enc = sign_with_enclosure(lambda eps: composed_margin(p, eps))
-        self.assert_same(*decide_inequality(p), sign, enc)
         verdict = check_inequality(p)
-        assert (verdict.kind, verdict.margin) == (KIND_OF_SIGN[sign], enc)
+        self.assert_same(verdict.kind, *verdict.margin, sign, enc)
+        assert (verdict.kind, as_enclosure(verdict.margin)) == (KIND_OF_SIGN[sign], enc)
         if not lemma_applies(p.a, p.b):
             rec = evaluate_pair(p.a, p.b)
             strings = (fraction_to_decimal_str(enc.lo), fraction_to_decimal_str(enc.hi))
