@@ -98,15 +98,28 @@ def mixed_distance(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.nda
 _BLOCK_ELEMENTS = 1 << 20
 
 
+def _pair_norms(M: np.ndarray, i0: int, i1: int, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """||M[I[k]] - M[J[k]]||_2 for each k, the pairs of the rows i0 <= i < i1.
+    Each norm is the reduction np.linalg.norm(..., axis=-1) makes over its
+    row of differences, so it has the bits it has in the n x n x m tensor."""
+    if i1 - i0 == 1:
+        d = M[i0] - M[i0 + 1 :]  # the pairs (i0, j > i0): no gather
+    else:
+        d = M[I]
+        d -= M[J]
+    d *= d
+    return np.sqrt(np.add.reduce(d, axis=1))
+
+
 def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> VerificationReport:
     """Check every pairwise distance against the declared lam.
 
     Deviation is measured against the declared target, not the empirical
     mean.  The worst pair is the maximum deviation, ties broken by smallest
     (i, j); with fewer than two points the check passes vacuously.
-    Distances are computed a block of rows at a time, each distance by the
-    same numpy operations as over the whole n x n matrix, so they are the
-    same bits whatever the block size.
+    Distances are computed a block of rows at a time, each pair (i, j > i)
+    once and by the same numpy operations as over the whole n x n matrix,
+    so they are the same bits whatever the block size.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"verify_equilateral: rel_tol must be positive and finite, got {rel_tol}")
@@ -119,16 +132,19 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
     max_dev, worst_pair = -1.0, None
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n - 1)
-        # entry (r, k) is the pair (i0 + r, i0 + 1 + k)
-        dist = np.linalg.norm(X[i0:i1, None, :] - X[None, i0 + 1 :, :], axis=2)
-        dist += np.linalg.norm(Y[i0:i1, None, :] - Y[None, i0 + 1 :, :], axis=2)
+        # the pairs i0 <= i < i1, j > i, in lexicographic order; one factor
+        # at a time, so the block holds one array of differences at once
+        I, J = np.triu_indices(i1 - i0, 1, n - i0)
+        I += i0
+        J += i0
+        dist = _pair_norms(X, i0, i1, I, J)
+        dist += _pair_norms(Y, i0, i1, I, J)
         dev = np.abs(dist - s.lam)
-        dev[np.tril_indices(i1 - i0, -1, n - i0 - 1)] = -1.0  # j <= i: not a pair
-        # argmax returns the first maximum in row-major, i.e. lexicographic
-        # (i, j), order; across blocks only a strictly larger one replaces it
-        r, k = divmod(int(np.argmax(dev)), dev.shape[1])
-        if dev[r, k] > max_dev:
-            max_dev, worst_pair = float(dev[r, k]), (i0 + r, i0 + 1 + k)
+        # argmax returns the first maximum, i.e. the smallest (i, j); across
+        # blocks only a strictly larger one replaces it
+        k = int(np.argmax(dev))
+        if dev[k] > max_dev:
+            max_dev, worst_pair = float(dev[k]), (int(I[k]), int(J[k]))
     return VerificationReport(
         n_points=n,
         n_pairs=n * (n - 1) // 2,
@@ -146,13 +162,34 @@ def pointset_to_json(s: PointSet) -> str:
         f'{{"a": {s.a}, "b": {s.b}, "lambda": {"%.17g" % s.lam}, '
         f'"swapped": {json.dumps(s.swapped)}, "provenance": {json.dumps(s.provenance)}, "points": ['
     )
-    # 17 significant digits round-trip binary64 exactly.  One "%.17g" per
-    # coordinate, one formatting call per point.  Each value is formatted on
-    # its own, so -0.0 prints as -0: a lookup keyed on the value would not
-    # tell it from 0.0.
-    point = '{"x": [%s], "y": [%s]}' % (", ".join(["%.17g"] * s.a), ", ".join(["%.17g"] * s.b))
-    body = ",\n  ".join([point % tuple(row) for row in np.hstack([s.X, s.Y]).tolist()])
-    return head + "\n  " + body + "\n]}\n"
+    n, a, m = len(s), s.a, s.a + s.b
+    if n == 0:
+        return head + "\n  \n]}\n"
+    # 17 significant digits round-trip binary64 exactly.  A point set holds
+    # few distinct values, so each is formatted once, keyed on its bit
+    # pattern, which keeps -0.0 (printed -0) apart from 0.0.  A sort and
+    # searchsorted find them several times faster than np.unique does.
+    bits = np.hstack([s.X, s.Y]).view(np.uint64)
+    values = np.sort(bits, axis=None)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    strings = ["%.17g" % v for v in values.view(np.float64).tolist()]
+    # Each value is written with the separator after it, which depends only
+    # on its column: the end of x, the end of the point, or else ", ".
+    k = len(strings)
+    table = np.array(
+        [v + sep for sep in (", ", '], "y": [', ']},\n  {"x": [') for v in strings], dtype=object
+    )
+    index = np.searchsorted(values, bits)
+    del bits  # freed once used: at a + b = 1000 each of these arrays is 8 MB
+    index[:, a - 1] += k
+    index[:, m - 1] += 2 * k
+    tokens = table[index]
+    # the first token carries the head and the last closes the document,
+    # so one join makes the whole text
+    tokens[0, 0] = head + '\n  {"x": [' + tokens[0, 0]
+    tokens[-1, -1] = strings[index[-1, -1] - 2 * k] + "]}\n]}\n"
+    del index
+    return "".join(tokens.ravel().tolist())
 
 
 def _reject_constant(token: str) -> None:

@@ -185,3 +185,19 @@ class TestUnwritableOut:
         assert lines[-1].startswith("equisum: cannot write output:")
         assert len(lines) == (2 if argv[0] == "sweep" else 1)  # sweep logs its summary first
 
+
+class TestOutOverwrite:
+    def test_shorter_payload_leaves_only_the_new_bytes(self, tmp_path, capsys):
+        from equisum.cli import main
+
+        out = tmp_path / "s.json"
+        out.write_bytes(b"x" * 100_000)  # longer than the set
+        assert main(["construct", "--a", "2", "--b", "3", "--out", str(out)]) == 0
+        assert main(["construct", "--a", "2", "--b", "3"]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    def test_pipe_through_dev_stdout(self):
+        # stdout is a pipe here, which cannot be truncated
+        proc = run_cli("check", "--a", "2", "--b", "3", "--out", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli("check", "--a", "2", "--b", "3").stdout

@@ -244,13 +244,17 @@ class TestIntegerDecisionMatchesReference:
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(p=main_case_pairs())
+    @example(p=derive_parameters(57, 172))  # decided at m = 32: (1191444480, ...)
+    @example(p=derive_parameters(4, 17))  # straddles zero at m = 32
     def test_coarse_start_refines(self, p):
-        # at eps = 1/4 (m = 32) every margin straddles zero, so the loop
-        # doubles m at least once before it decides
+        # from eps = 1/4 (m = 32) the loop doubles m while the margin
+        # straddles zero; some margins are already decided at that start
         first = _inequality_margin(p, 8 * 4)
-        assert first[0] <= 0 <= first[1]
         sign, lo, hi, den = _refine(_inequality_margin, p, 8 * 4)
-        assert den > first[2]
+        if first[0] <= 0 <= first[1]:
+            assert den > first[2]
+        else:
+            assert (lo, hi, den) == first
         ref_sign, enc = sign_with_enclosure(lambda eps: composed_margin(p, eps), eps_start=Fraction(1, 4))
         self.assert_same(KIND_OF_SIGN[sign], lo, hi, den, ref_sign, enc)
 

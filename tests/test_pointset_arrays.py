@@ -1,6 +1,7 @@
 """The array-backed point set on the construct -> verify path: row-block
 verification against the all-pairs tensor, JSON shapes and signed zeros,
-golden artifact digests, and a parser built once and reused."""
+golden artifact digests, the JSON codec against per-coordinate formatting,
+and a parser built once and reused."""
 
 import contextlib
 import hashlib
@@ -10,6 +11,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisum import cli, mixednorm
 from equisum.constructions import construct_prop2
@@ -111,6 +114,58 @@ class TestArrays:
         t = pointset_from_json(text)
         assert np.signbit(t.Y[3, 1]) and not np.signbit(t.Y[0, 1])
         assert pointset_to_json(t) == text
+
+
+def reference_json(s: PointSet) -> str:
+    """Reference: one "%.17g" per coordinate, one formatting call per point."""
+    head = (
+        f'{{"a": {s.a}, "b": {s.b}, "lambda": {"%.17g" % s.lam}, '
+        f'"swapped": {json.dumps(s.swapped)}, "provenance": {json.dumps(s.provenance)}, "points": ['
+    )
+    point = '{"x": [%s], "y": [%s]}' % (", ".join(["%.17g"] * s.a), ", ".join(["%.17g"] * s.b))
+    body = ",\n  ".join([point % tuple(row) for row in np.hstack([s.X, s.Y]).tolist()])
+    return head + "\n  " + body + "\n]}\n"
+
+
+# signed zeros, the smallest subnormal, the smallest normal, the largest finite
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_sets(draw):
+    """Small sets whose coordinates repeat a few values (as constructed
+    sets do), are all drawn apart, or come from signed zeros, subnormals
+    and the extremes of binary64."""
+    n, a, b = draw(st.integers(0, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = draw(
+        st.sampled_from(
+            [
+                st.lists(FINITE, min_size=1, max_size=3).flatmap(st.sampled_from),
+                FINITE,
+                st.sampled_from(EDGE_VALUES),
+            ]
+        )
+    )
+    X = np.array(draw(st.lists(values, min_size=n * a, max_size=n * a))).reshape(n, a)
+    Y = np.array(draw(st.lists(values, min_size=n * b, max_size=n * b))).reshape(n, b)
+    lam = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return PointSet(a, b, lam, X, Y, draw(st.text(max_size=4)), draw(st.booleans()))
+
+
+class TestCodecProperty:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(s=point_sets())
+    def test_emit_matches_reference_and_round_trips(self, s):
+        text = pointset_to_json(s)
+        assert text == reference_json(s)
+        t = pointset_from_json(text)
+        # tobytes, not ==: -0.0 == 0.0, but the bytes keep the sign of zero
+        assert (t.X.tobytes(), t.Y.tobytes()) == (s.X.tobytes(), s.Y.tobytes())
+        assert (t.a, t.b, t.lam, t.provenance, t.swapped) == (s.a, s.b, s.lam, s.provenance, s.swapped)
 
 
 def run_main(argv: list[str]) -> tuple[int, str]:
