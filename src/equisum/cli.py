@@ -10,7 +10,8 @@ cannot be written (--out in a missing directory, say).
 than there are CPUs or than half its pairs.  `construct` takes a + b of at
 most 1000: the set has a + b + 1 points of a + b coordinates, and at the
 bound construct then verify took 0.11 s and 1.9 s with peak RSS of 79 MB
-and 102 MB (a = 1, 2 CPUs, each in a fresh process).  Values out of range are usage errors (exit 64).
+and 102 MB (a = 1, 2 CPUs, each in a fresh process).  Values out of range
+are usage errors (exit 64).
 `verify` takes a file of at most 32 MiB and a set of at most 1001 points,
 the most construct emits (25 MB as JSON at a = 1, b = 999).  A larger file
 is rejected as input data (exit 65) before it is parsed, and a larger set
@@ -23,7 +24,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 
@@ -206,14 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            # Written over the old bytes and then cut to length, not
-            # truncated to zero first: ext4 flushes a file truncated to zero
-            # and rewritten when it is closed.  A pipe cannot be truncated.
-            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
-            with open(fd, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-                if fh.seekable():
-                    fh.truncate()
     except OSError as exc:
         print(f"equisum: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CANTCREAT

@@ -44,8 +44,7 @@ def round_trips_up_to_sixty(tmp_path_factory) -> RoundTrips:
         )
         if report_path.exists():  # verify writes nothing on unreadable input
             verified.update(report_path.read_bytes())
-        # no files left for the next pair: a call that writes nothing must
-        # not leave this pair's bytes to be read as its own
+        # new files each time: rewriting a truncated file costs a flush on close
         set_path.unlink()
         report_path.unlink(missing_ok=True)
     trips.construct_sha256 = constructed.hexdigest()

@@ -186,7 +186,7 @@ class TestUnwritableOut:
         assert len(lines) == (2 if argv[0] == "sweep" else 1)  # sweep logs its summary first
 
 
-class TestOutOverwrite:
+class TestOutFile:
     def test_shorter_payload_leaves_only_the_new_bytes(self, tmp_path, capsys):
         from equisum.cli import main
 
@@ -201,3 +201,9 @@ class TestOutOverwrite:
         proc = run_cli("check", "--a", "2", "--b", "3", "--out", "/dev/stdout")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli("check", "--a", "2", "--b", "3").stdout
+
+    @pytest.mark.parametrize("cmd", ["check", "construct"])
+    def test_dev_null(self, cmd):
+        # a character device: it seeks, but cannot be truncated
+        proc = run_cli(cmd, "--a", "2", "--b", "3", "--out", "/dev/null")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
