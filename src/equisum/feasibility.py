@@ -54,8 +54,8 @@ class VerdictKind(enum.Enum):
 
 
 class Parameters(NamedTuple):
-    """Derived block parameters of a pair b > a >= 2; `derive_parameters`
-    builds them, and tests check its identities over every sweep-60 pair."""
+    """Derived block parameters of a pair b > a >= 2: `derive_parameters`
+    builds them, the sweep derives them inline, and tests check both."""
 
     a: int
     b: int
@@ -189,10 +189,16 @@ def _inequality_margin(p: Parameters, m: int) -> Margin:
     d_m^2 = m/(2m+2), so d_{alpha-1}^2 is (alpha-1)/(2 alpha); with beta in
     {0, 1} the second simplex is empty or a point and has no term.
     """
-    terms = ((p.alpha - 1, 2 * p.alpha, _f_squared(p.c - 1, m)),)
-    if p.beta > 1:
-        terms += ((p.beta - 1, 2 * p.beta, _f_squared(p.c, m)),)
-    return _squares_margin(_g_squared(p.c, m), terms)
+    _, _, c, alpha, beta = p
+    lo, hi, den = _g_squared(c, m)
+    y_lo, y_hi, y_den = _f_squared(c - 1, m)
+    t = 2 * alpha * y_den
+    lo, hi, den = lo * t - (alpha - 1) * y_hi * den, hi * t - (alpha - 1) * y_lo * den, den * t
+    if beta > 1:
+        y_lo, y_hi, y_den = _f_squared(c, m)
+        t = 2 * beta * y_den
+        lo, hi, den = lo * t - (beta - 1) * y_hi * den, hi * t - (beta - 1) * y_lo * den, den * t
+    return lo, hi, den
 
 
 # inequality_margin decides nothing: benchmarks/spans.py traces its name and
@@ -204,7 +210,8 @@ def inequality_margin(p: Parameters, eps: Fraction) -> Enclosure:
     return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
-_KIND = {Sign.POSITIVE: VerdictKind.INEQUALITY_HOLDS, Sign.NEGATIVE: VerdictKind.INEQUALITY_FAILS}
+# by Sign value 0, 1, -1: as a dict key an Enum hashes in Python, 0.3 us a call
+_KIND = (VerdictKind.INDETERMINATE, VerdictKind.INEQUALITY_HOLDS, VerdictKind.INEQUALITY_FAILS)
 
 
 def check_inequality(p: Parameters) -> FeasibilityVerdict:
@@ -213,7 +220,7 @@ def check_inequality(p: Parameters) -> FeasibilityVerdict:
     INDETERMINATE; it is never silently coerced to holds or fails.
     """
     sign, lo, hi, den = _refine(_inequality_margin, p, 8 * _START)
-    return FeasibilityVerdict(_KIND.get(sign, VerdictKind.INDETERMINATE), p, (lo, hi, den))
+    return tuple.__new__(FeasibilityVerdict, (_KIND[sign._value_], p, (lo, hi, den)))  # skips __new__'s frame
 
 
 def classify(a: int, b: int) -> FeasibilityVerdict:

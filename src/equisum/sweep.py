@@ -1,17 +1,18 @@
 """Scan (a, b) ranges and reproduce the feasibility boundary table.
 
-Every pair is an independent pure computation, so the scan may run across
-processes; the pool returns the records in input order, so the emitted
+Every pair is an independent pure computation.  One row builder, `_rows`,
+makes the records of a contiguous range of b for one a; the serial scan and
+the process pool both map it over such ranges in input order, so the emitted
 artifacts are byte-identical regardless of worker count.  Pairs at or
 beyond the threshold b >= a^2 + a are covered by the certified lemma rather
 than re-decided; the lemma certificate itself is spot-checked once per a.
 
-A report is emitted as CSV or JSON, one record per pair with the fields of
-`SweepRecord` in declaration order; nothing in the package reads a report
-back.  A pair's margin is rendered from the integers (lo, hi, D) of the
-verdict `check_inequality` returns: each endpoint lo/D, hi/D is divided out,
-unreduced, to MARGIN_DIGITS significant digits.  `check` renders the same
-way, through `margin_strings`.
+A record is a `SweepRecord`, a NamedTuple row.  A report is emitted as CSV
+or JSON, one record per pair with its fields in declaration order; nothing
+in the package reads a report back.  A pair's margin is rendered from the
+integers (lo, hi, D) of the verdict `check_inequality` returns: each
+endpoint lo/D, hi/D is divided out, unreduced, to MARGIN_DIGITS significant
+digits.  `check` renders the same way, through `margin_strings`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
-from .feasibility import Margin, VerdictKind, check_inequality, derive_parameters, lemma_applies, lemma_certificate
+from .feasibility import Margin, Parameters, VerdictKind, check_inequality, lemma_certificate
 from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
@@ -38,9 +40,10 @@ def _decimal_str(num: int, den: int) -> str:
 
 
 def margin_strings(margin: Margin) -> tuple[str, str]:
-    """The endpoints lo/D and hi/D of a margin (lo, hi, D), rendered."""
+    """`_decimal_str` of lo/D and hi/D for a margin (lo, hi, D), D converted once."""
     lo, hi, den = margin
-    return _decimal_str(lo, den), _decimal_str(hi, den)
+    d, divide = Decimal(den), _MARGIN_CONTEXT.divide
+    return str(divide(Decimal(lo), d)), str(divide(Decimal(hi), d))
 
 
 # fraction_to_decimal_str renders nothing in the package: benchmarks/spans.py
@@ -50,8 +53,7 @@ def fraction_to_decimal_str(q: Fraction) -> str:
     return _decimal_str(q.numerator, q.denominator)
 
 
-@dataclass  # not frozen: frozen sets each field through object.__setattr__, 2 us a pair
-class SweepRecord:
+class SweepRecord(NamedTuple):
     a: int
     b: int
     c: int
@@ -72,30 +74,34 @@ class SweepReport:
     conclusive: bool
 
 
+def _rows(a: int, b_lo: int, b_hi: int) -> list[SweepRecord]:
+    """The records of the pairs (a, b), a < b_lo <= b <= b_hi.  c, alpha and beta
+    are derived inline and built into `Parameters` only for pairs to decide."""
+    new = tuple.__new__  # a NamedTuple without the Python frame of its __new__
+    n = a + 1
+    rows = []
+    for b in range(b_lo, b_hi + 1):
+        c, beta = 1 + b // n, b % n
+        covered = b >= a * n
+        lo = hi = None
+        if beta <= 1 or beta == a:
+            verdict = VerdictKind.BETA_TRIVIAL.value
+        elif covered:  # certified once per a by lemma_certificate
+            verdict = VerdictKind.INEQUALITY_HOLDS.value
+        else:
+            # a global looked up per call: a wrapper set on the module sees it
+            kind, _, margin = check_inequality(new(Parameters, (a, b, c, n - beta, beta)))
+            verdict = kind._value_  # not the value property, a Python-level call
+            lo, hi = margin_strings(margin)
+        rows.append(new(SweepRecord, (a, b, c, n - beta, beta, verdict, lo, hi, covered)))
+    return rows
+
+
 def evaluate_pair(a: int, b: int) -> SweepRecord:
     """Classify one pair b > a >= 2 into a sweep record."""
-    p = derive_parameters(a, b)
-    covered = lemma_applies(a, b)
-    lo = hi = None
-    if p.beta in (0, 1, a):
-        kind = VerdictKind.BETA_TRIVIAL
-    elif covered:
-        # certified once per a by the lemma certificate; not re-decided here
-        kind = VerdictKind.INEQUALITY_HOLDS
-    else:
-        kind, _, margin = check_inequality(p)
-        lo, hi = margin_strings(margin)
-    return SweepRecord(
-        a=a,
-        b=b,
-        c=p.c,
-        alpha=p.alpha,
-        beta=p.beta,
-        verdict=kind.value,
-        margin_lo=lo,
-        margin_hi=hi,
-        lemma_covered=covered,
-    )
+    if not (b > a >= 2):
+        raise ValueError(f"evaluate_pair requires b > a >= 2, got a={a} b={b}")
+    return _rows(a, b, b)[0]
 
 
 def run_sweep(
@@ -117,24 +123,21 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"run_sweep: jobs must be >= 1, got {jobs}")
 
-    as_: list[int] = []
-    bs: list[int] = []
-    lemma_relied: list[int] = []
-    for a in range(a_min, a_max + 1):
-        top = a * a + a - 1 if b_max is None else b_max
-        as_.extend([a] * (top - a))  # empty when top <= a
-        bs.extend(range(a + 1, top + 1))
-        if b_max is None or b_max >= a * a + a:
-            lemma_relied.append(a)
+    # (a, b_lo, b_hi): the range of b of each a, empty when b_hi <= a
+    segments = [(a, a + 1, a * a + a - 1 if b_max is None else b_max) for a in range(a_min, a_max + 1)]
+    lemma_relied = [a for a in range(a_min, a_max + 1) if b_max is None or b_max >= a * a + a]
+    pairs = sum(max(hi - a, 0) for a, _, hi in segments)
 
     # a worker gets at least two pairs, or the pool costs more than it saves
-    workers = min(jobs, os.cpu_count() or 1, len(bs) // 2)
+    workers = min(jobs, os.cpu_count() or 1, pairs // 2)
     if workers <= 1:
-        records = list(map(evaluate_pair, as_, bs))
+        chunks = [_rows(*segment) for segment in segments]
     else:
+        share = -(-pairs // workers)  # no task is longer than a worker's share
+        tasks = [(a, lo, min(lo + share - 1, hi)) for a, b, hi in segments for lo in range(b, hi + 1, share)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # one contiguous chunk per worker
-            records = list(pool.map(evaluate_pair, as_, bs, chunksize=-(-len(bs) // workers)))
+            chunks = list(pool.map(_rows, *zip(*tasks)))
+    records = [row for chunk in chunks for row in chunk]
 
     lemma_certified = [a for a in lemma_relied if lemma_certificate(a)]
     fails, undecided = VerdictKind.INEQUALITY_FAILS.value, VerdictKind.INDETERMINATE.value
@@ -147,13 +150,7 @@ def run_sweep(
         "b_max": b_max,
         "eps_floor": str(DEFAULT_EPS_FLOOR),
     }
-    return SweepReport(
-        records=records,
-        failing_pairs=failing,
-        config=config,
-        lemma_certified=lemma_certified,
-        conclusive=conclusive,
-    )
+    return SweepReport(records, failing, config, lemma_certified, conclusive)
 
 
 CSV_HEADER = "a,b,c,alpha,beta,verdict,margin_lo,margin_hi,lemma_covered"
@@ -161,12 +158,8 @@ CSV_HEADER = "a,b,c,alpha,beta,verdict,margin_lo,margin_hi,lemma_covered"
 
 def emit_report_csv(report: SweepReport) -> str:
     lines = [CSV_HEADER]
-    for r in report.records:
-        lines.append(
-            f"{r.a},{r.b},{r.c},{r.alpha},{r.beta},{r.verdict},"
-            f"{r.margin_lo or ''},{r.margin_hi or ''},"
-            f"{'true' if r.lemma_covered else 'false'}"
-        )
+    for a, b, c, alpha, beta, verdict, lo, hi, covered in report.records:
+        lines.append(f"{a},{b},{c},{alpha},{beta},{verdict},{lo or ''},{hi or ''},{'true' if covered else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,6 +169,6 @@ def emit_report_json(report: SweepReport) -> str:
         "lemma_certified": report.lemma_certified,
         "conclusive": report.conclusive,
         "failing_pairs": [list(p) for p in report.failing_pairs],
-        "records": [vars(r) for r in report.records],
+        "records": [r._asdict() for r in report.records],
     }
     return json.dumps(obj, indent=2) + "\n"

@@ -1,10 +1,10 @@
 """Byte goldens of the command line at the feasibility boundary.
 
-The sweep over a in [2, 60] and `check` at the six pairs next to the paper's
-boundary were captured from the implementation that decided through
-`Fraction` enclosures and rendered the reduced endpoints.  The integer
-decision and the rendering of the unreduced integers must give the same
-bytes; `check` builds its margin as an `Enclosure` from those integers.
+The sweep CSV over a in [2, 60], the sweep JSON over a in [2, 20] and
+`check` at the six pairs next to the paper's boundary were captured from
+the implementation that decided through `Fraction` enclosures and rendered
+the reduced endpoints.  The integer decision and the rendering of the
+unreduced integers must give the same bytes, with one worker process or two.
 """
 
 import hashlib
@@ -12,8 +12,10 @@ import hashlib
 import pytest
 
 from equisum import cli
+from equisum.sweep import emit_report_csv, run_sweep
 
 SWEEP_60_CSV_SHA256 = "4de9dbad9b7815f5c6e09234471eafcccb5d1fbc75d68ca017e3ef5d4ed4c3a1"
+SWEEP_20_JSON_SHA256 = "6b4fef9de9f9d9b0b6011a1845f84849654e6d84b7ce766549f24e846a2ec23a"
 
 CHECK_JSON = {
     (28, 40): """\
@@ -102,6 +104,19 @@ def test_sweep_60_csv_digest(tmp_path):
     argv = ["sweep", "--a-min", "2", "--a-max", "60", "--format", "csv", "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_60_CSV_SHA256
+
+
+def test_sweep_60_csv_digest_with_two_workers():
+    # the pool's rows, pickled back from the workers, give the same bytes
+    text = emit_report_csv(run_sweep(2, 60, jobs=2))
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_60_CSV_SHA256
+
+
+def test_sweep_20_json_digest(tmp_path):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--a-min", "2", "--a-max", "20", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_20_JSON_SHA256
 
 
 @pytest.mark.parametrize("a, b", list(CHECK_JSON))

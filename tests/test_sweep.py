@@ -1,10 +1,10 @@
 """Tests for the boundary sweep and its report formats."""
 
-import dataclasses
 import json
 
 import pytest
 
+from equisum.feasibility import VerdictKind, check_inequality, derive_parameters, lemma_applies
 from equisum.sweep import (
     CSV_HEADER,
     SweepRecord,
@@ -13,9 +13,39 @@ from equisum.sweep import (
     emit_report_json,
     evaluate_pair,
     fraction_to_decimal_str,
+    margin_strings,
     run_sweep,
 )
 from fractions import Fraction
+
+
+def reference_record(a: int, b: int) -> dict:
+    """The fields of the record of (a, b) as the sweep built them one pair
+    at a time: `derive_parameters`, `lemma_applies`, `check_inequality` and
+    `margin_strings`."""
+    p = derive_parameters(a, b)
+    covered = lemma_applies(a, b)
+    lo = hi = None
+    if p.beta in (0, 1, a):
+        kind = VerdictKind.BETA_TRIVIAL
+    elif covered:
+        kind = VerdictKind.INEQUALITY_HOLDS
+    else:
+        kind, _, margin = check_inequality(p)
+        lo, hi = margin_strings(margin)
+    return dict(
+        a=a, b=b, c=p.c, alpha=p.alpha, beta=p.beta, verdict=kind.value,
+        margin_lo=lo, margin_hi=hi, lemma_covered=covered,
+    )
+
+
+def assert_records_match_reference(records) -> None:
+    for rec in records:
+        assert type(rec) is SweepRecord
+        ref = reference_record(rec.a, rec.b)
+        # field by field, with the types: a 1 must not stand for True
+        assert [(type(v), v) for v in rec] == [(type(v), v) for v in ref.values()]
+        assert rec._asdict() == ref
 
 
 class TestDecimalRendering:
@@ -36,6 +66,11 @@ class TestEvaluatePair:
         rec = evaluate_pair(28, 40)
         assert rec.verdict == "InequalityFails"
         assert rec.margin_lo is not None and rec.margin_hi.startswith("-0.0000082")
+
+    def test_out_of_scope_rejected(self):
+        for a, b in [(3, 3), (5, 4), (1, 5)]:
+            with pytest.raises(ValueError):
+                evaluate_pair(a, b)
 
     def test_lemma_covered_is_not_redecided(self):
         rec = evaluate_pair(3, 12)  # 12 = 3^2 + 3, beta = 0
@@ -79,6 +114,20 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(5, 4)
 
+    def test_records_match_reference_up_to_60(self):
+        report = run_sweep(2, 60)
+        assert len(report.records) == sum(a * a - 1 for a in range(2, 61))
+        assert_records_match_reference(report.records)
+
+    def test_records_match_reference_across_lemma_line(self):
+        # b up to 60 crosses a^2 + a for a in [3, 6]: lemma-covered rows,
+        # main-case ones reported as holding with no margin among them
+        report = run_sweep(3, 6, b_max=60)
+        assert [(r.a, r.b) for r in report.records] == [(a, b) for a in range(3, 7) for b in range(a + 1, 61)]
+        holds_covered = [r for r in report.records if r.lemma_covered and r.verdict == "InequalityHolds"]
+        assert holds_covered and all(r.margin_lo is None and r.margin_hi is None for r in holds_covered)
+        assert_records_match_reference(report.records)
+
     def test_parallel_serial_identical(self):
         serial = run_sweep(2, 10, jobs=1)
         parallel = run_sweep(2, 10, jobs=3)
@@ -109,7 +158,7 @@ class TestReports:
             "lemma_certified": report.lemma_certified,
             "conclusive": report.conclusive,
             "failing_pairs": [[28, 40]],
-            "records": [dataclasses.asdict(r) for r in report.records],
+            "records": [r._asdict() for r in report.records],
         }
         assert [SweepRecord(**r) for r in obj["records"]] == report.records
 
