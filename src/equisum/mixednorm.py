@@ -8,6 +8,10 @@ column blocks and verification and JSON read them whole.
 Verification is tolerance-based in binary64: the constructions are
 closed-form, so honest outputs deviate from the target distance by ~1e-15
 while any logic error yields deviations many orders of magnitude larger.
+It enumerates the pairs as a cyclic band, each pair once (twice at the
+half offset of an even n), and reads both ends of a pair through a strided
+view of each factor, so its memory is O(n * (a+b)) plus one cache-sized
+block of differences.
 """
 
 from __future__ import annotations
@@ -92,23 +96,12 @@ def mixed_distance(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.nda
     return float(np.linalg.norm(px - qx) + np.linalg.norm(py - qy))
 
 
-# Rows of the distance matrix computed together hold at most about this many
-# coordinate differences per factor: verify's memory is O(n * rows * (a+b)),
-# not the n x n x (a+b) of all pairs at once.
-_BLOCK_ELEMENTS = 1 << 20
-
-
-def _pair_norms(M: np.ndarray, i0: int, i1: int, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """||M[I[k]] - M[J[k]]||_2 for each k, the pairs of the rows i0 <= i < i1.
-    Each norm is the reduction np.linalg.norm(..., axis=-1) makes over its
-    row of differences, so it has the bits it has in the n x n x m tensor."""
-    if i1 - i0 == 1:
-        d = M[i0] - M[i0 + 1 :]  # the pairs (i0, j > i0): no gather
-    else:
-        d = M[I]
-        d -= M[J]
-    d *= d
-    return np.sqrt(np.add.reduce(d, axis=1))
+# Each block of rows holds at most about this many coordinate differences,
+# one factor at a time: 2^16 float64 is 0.5 MB, so a block stays in cache
+# (a block holds at least one row, n//2 * max(a, b) differences).  verify's
+# memory is O(n * (a+b)) for the bands plus one such block, not the
+# n x n x (a+b) of all pairs at once.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> VerificationReport:
@@ -117,9 +110,15 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
     Deviation is measured against the declared target, not the empirical
     mean.  The worst pair is the maximum deviation, ties broken by smallest
     (i, j); with fewer than two points the check passes vacuously.
-    Distances are computed a block of rows at a time, each pair (i, j > i)
-    once and by the same numpy operations as over the whole n x n matrix,
-    so they are the same bits whatever the block size.
+
+    The pairs are enumerated as a cyclic band: every pair {i, j} is
+    (i, (i + k) mod n) for one k in 1..n//2, so row i of the band holds the
+    differences M[i] - M[(i + k) mod n] of each factor M, read through a
+    strided view without gathers.  For even n the pairs at k = n/2 appear
+    twice, once from each end, with the same bits.  A difference that wraps
+    has its sign flipped, which squaring removes, and each norm is the
+    contiguous last-axis reduction np.linalg.norm makes over the n x n
+    tensor, so every distance has the same bits whatever the block size.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"verify_equilateral: rel_tol must be positive and finite, got {rel_tol}")
@@ -127,31 +126,42 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
     if n < 2:
         return VerificationReport(n, 0, s.lam, rel_tol, 0.0, None, True)
 
-    X, Y = s.X, s.Y
-    rows = max(1, _BLOCK_ELEMENTS // (n * max(s.a, s.b)))
-    max_dev, worst_pair = -1.0, None
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        # the pairs i0 <= i < i1, j > i, in lexicographic order; one factor
-        # at a time, so the block holds one array of differences at once
-        I, J = np.triu_indices(i1 - i0, 1, n - i0)
-        I += i0
-        J += i0
-        dist = _pair_norms(X, i0, i1, I, J)
-        dist += _pair_norms(Y, i0, i1, I, J)
+    h = n // 2
+    bands = []
+    for M in (s.X, s.Y):
+        # W[i, k - 1] = M2[i + k] = M[(i + k) mod n]: an (n, h, m) view of
+        # overlapping rows of M2, which is M with its first h rows appended
+        M2 = np.concatenate([M, M[:h]])
+        step, item = M2.strides
+        bands.append((M, np.ndarray((n, h, M.shape[1]), M2.dtype, M2, step, (step, step, item))))
+    rows = max(1, _BLOCK_ELEMENTS // (h * max(s.a, s.b)))
+    scratch = np.empty(min(rows, n) * h * max(s.a, s.b))
+    max_dev, worst = -1.0, 0
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        dist = np.zeros((i1 - i0, h))
+        for M, W in bands:
+            d = scratch[: dist.size * M.shape[1]].reshape(i1 - i0, h, M.shape[1])
+            np.subtract(M[i0:i1, None, :], W[i0:i1], out=d)
+            d *= d
+            dist += np.sqrt(np.add.reduce(d, axis=2))
         dev = np.abs(dist - s.lam)
-        # argmax returns the first maximum, i.e. the smallest (i, j); across
-        # blocks only a strictly larger one replaces it
-        k = int(np.argmax(dev))
-        if dev[k] > max_dev:
-            max_dev, worst_pair = float(dev[k]), (int(I[k]), int(J[k]))
+        top = dev.max()
+        if top >= max_dev:
+            # the smallest pair (i, j), i < j, among this block's maxima,
+            # as the key i * n + j; a larger key never replaces an equal maximum
+            r, k = np.nonzero(dev == top)
+            i, j = r + i0, (r + i0 + k + 1) % n
+            key = int((np.minimum(i, j) * n + np.maximum(i, j)).min())
+            if top > max_dev or key < worst:
+                max_dev, worst = float(top), key
     return VerificationReport(
         n_points=n,
         n_pairs=n * (n - 1) // 2,
         lam=s.lam,
         rel_tol=rel_tol,
         max_abs_deviation=max_dev,
-        worst_pair=worst_pair,
+        worst_pair=divmod(worst, n),
         passed=bool(max_dev <= rel_tol * s.lam),
     )
 

@@ -1,9 +1,11 @@
 """Out-of-range input ends in a documented exit code before any work starts:
 non-finite or mistyped point-set JSON, a file larger than verify reads and a
-set of more points than verify takes (65), construct's dimensions, --jobs
-and verify's --rel-tol (64)."""
+set of more points than verify takes (65), construct's dimensions, --jobs,
+the number of sweep records and verify's --rel-tol (64)."""
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -114,7 +116,7 @@ class _Reached(Exception):
     pass
 
 
-def _reached(*args):
+def _reached(*args, **kwargs):
     raise _Reached
 
 
@@ -169,6 +171,75 @@ class TestVerifyFileBound:
         # a + b = 1000 at a = 1 (or b = 1) gives the longest JSON construct emits
         text = pointset_to_json(construct(1, cli.MAX_CONSTRUCT_DIM - 1).point_set)
         assert len(text.encode()) <= cli.MAX_VERIFY_BYTES
+
+
+class TestVerifyPipe:
+    """A pipe reports size 0 to fstat, so verify reads on to the bound."""
+
+    def run_through_pipe(self, data: bytes) -> int:
+        r, w = os.pipe()
+
+        def write():
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return cli.main(["verify", "--in", f"/dev/fd/{r}"])
+        finally:
+            os.close(r)  # a writer still blocked on a full pipe then fails and ends
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+
+    def test_set_from_a_pipe_verifies(self, capsys):
+        text = pointset_to_json(construct(3, 40).point_set)
+        assert self.run_through_pipe(text.encode()) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n_points"], report["pass"]) == (44, True)
+
+    def test_one_byte_over_exits_65_before_parsing(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "pointset_from_json", _reached)
+        assert self.run_through_pipe(b" " * (cli.MAX_VERIFY_BYTES + 1)) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and "larger than" in err
+
+
+class TestSweepBound:
+    @pytest.mark.parametrize(
+        "a_min,a_max,b_max",
+        [(2, 2, None), (2, 7, None), (5, 9, None), (2, 2, 3), (2, 6, 2), (3, 6, 5), (2, 6, 40), (4, 9, 7)],
+    )
+    def test_record_count_in_closed_form(self, a_min, a_max, b_max):
+        records = sweep.run_sweep(a_min, a_max, b_max=b_max).records
+        assert cli._sweep_records(a_min, a_max, b_max) == len(records)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--a-max", "2", "--b-max", str(cli.MAX_SWEEP_RECORDS + 2)],
+            ["--a-max", "105"],  # 391,300 records at the lemma line
+        ],
+    )
+    def test_bound_itself_reaches_run_sweep(self, monkeypatch, argv):
+        monkeypatch.setattr(cli, "run_sweep", _reached)
+        with pytest.raises(_Reached):
+            cli.main(["sweep", "--a-min", "2", *argv])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--a-max", "2", "--b-max", str(cli.MAX_SWEEP_RECORDS + 3)],  # one record over
+            ["--a-max", "106"],
+            ["--a-max", str(10**18)],
+            ["--a-max", "2", "--b-max", str(10**12)],
+        ],
+    )
+    def test_above_bound_exits_64_before_sweeping(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "run_sweep", _reached)
+        assert cli.main(["sweep", "--a-min", "2", *argv]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and f"more than {cli.MAX_SWEEP_RECORDS}" in err
 
 
 class _NoPool:

@@ -7,6 +7,7 @@ import contextlib
 import hashlib
 import io
 import json
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equisum import cli, mixednorm
-from equisum.constructions import construct_prop2
+from equisum.constructions import construct, construct_prop2
 from equisum.mixednorm import (
     PointSet,
     VerificationReport,
@@ -80,6 +81,75 @@ class TestRowBlockVerify:
         s = construct_prop2(40).point_set
         monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", 8 * len(s) * 40)
         assert verify_equilateral(s) == full_tensor_report(s)
+
+
+class TestCyclicBand:
+    """Each pair {i, j} comes from row i at offset k = j - i, or from row j
+    through the wrap at k = n - (j - i); at even n the pairs at k = n/2 come
+    from both ends."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, mixednorm._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_tie_whose_first_pair_wraps(self, monkeypatch, budget, n):
+        # points 0 and n-1 coincide, and so do 1 and 2: with lam = 100 both
+        # pairs deviate by 100, the most.  (1, 2) is reached first, from row
+        # 1; the first pair, (0, n-1), only later, from row n-1 at k = 1.
+        monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", budget)
+        x = [0.0, 7.0, 7.0, 3.0, 5.0, 11.0][: n - 1] + [0.0]
+        s = PointSet(a=1, b=1, lam=100.0, X=[[v] for v in x], Y=[[0.0]] * n)
+        report = verify_equilateral(s)
+        assert report == full_tensor_report(s)
+        assert report.worst_pair == (0, n - 1) and report.max_abs_deviation == 100.0
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, mixednorm._BLOCK_ELEMENTS])
+    def test_tie_at_half_offset_from_both_ends(self, monkeypatch, budget):
+        # n = 6: (0, 3) and (2, 5) are both at k = 3, and each coincides
+        monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", budget)
+        x = [0.0, 1.0, 4.0, 0.0, 9.0, 4.0]
+        s = PointSet(a=1, b=1, lam=50.0, X=[[v] for v in x], Y=[[1.0]] * 6)
+        assert verify_equilateral(s) == full_tensor_report(s)
+        assert verify_equilateral(s).worst_pair == (0, 3)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_blocks_split_at_half(self, monkeypatch, rows, n):
+        # a budget of rows * (n // 2) * max(a, b) makes blocks of `rows`
+        # rows, so for n = 2 * rows or 2 * rows + 1 a block ends at n // 2
+        rng = Random(n * 10 + rows)
+        for trial in range(20):
+            a, b = rng.randint(1, 6), rng.randint(1, 6)
+            monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", rows * (n // 2) * max(a, b))
+            s = random_set(rng, n, a, b, integer=trial % 2 == 0)
+            assert verify_equilateral(s) == full_tensor_report(s), (n, a, b)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        a=st.integers(1, 12),
+        b=st.integers(1, 12),
+        rows=st.integers(1, 41),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_tensor(self, n, a, b, rows, integer, seed):
+        s = random_set(Random(seed), n, a, b, integer)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixednorm, "_BLOCK_ELEMENTS", rows * max(n // 2, 1) * max(a, b))
+            assert verify_equilateral(s) == full_tensor_report(s)
+
+    def test_peak_memory_is_one_block_beyond_the_set(self):
+        # the bands copy each factor once, 1.5 times its rows; one block of
+        # float64 differences comes on top.  Gathering both ends of each
+        # pair of a block of rows, as before the band, takes twice the block.
+        s = construct(10, 300).point_set
+        bound = 8 * mixednorm._BLOCK_ELEMENTS + 2 * (s.X.nbytes + s.Y.nbytes)
+        tracemalloc.start()
+        try:
+            verify_equilateral(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestArrays:
