@@ -50,10 +50,16 @@ def random_set(rng: Random, n: int, a: int, b: int, integer: bool) -> PointSet:
     return PointSet(a=a, b=b, lam=rng.choice([0.5, 1.0, 2.0, 3.0]), X=X, Y=Y)
 
 
+# a budget that takes each small test set in a single block, as the default
+# _BLOCK_ELEMENTS (smaller) also does; kept fixed so the test ids do not move
+# with the default
+ONE_BLOCK = 1 << 20
+
+
 class TestRowBlockVerify:
     # budgets of 1 and 40 elements force one or a few rows per block;
-    # the default takes each of these sets in a single block
-    @pytest.mark.parametrize("budget", [1, 40, 300, mixednorm._BLOCK_ELEMENTS])
+    # ONE_BLOCK takes each of these sets in a single block
+    @pytest.mark.parametrize("budget", [1, 40, 300, ONE_BLOCK])
     def test_matches_full_tensor_on_random_sets(self, monkeypatch, budget):
         monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", budget)
         rng = Random(budget)
@@ -63,7 +69,7 @@ class TestRowBlockVerify:
             s = random_set(rng, n, a, b, integer=trial % 2 == 0)
             assert verify_equilateral(s) == full_tensor_report(s), (n, a, b)
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, mixednorm._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("budget", [1, 2, 3, ONE_BLOCK])
     def test_tie_across_blocks_keeps_first_pair(self, monkeypatch, budget):
         # lam = 1: (0, 2) and (1, 3) deviate most, by 5; lam = 5: (0, 1)
         # and (2, 3), by 4.  Each tie spans two rows, so with one row per
