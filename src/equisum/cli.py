@@ -7,8 +7,10 @@ certification, 64 usage error, 65 unreadable input data, 73 output that
 cannot be written (--out in a missing directory, say).
 
 `sweep --jobs` is at most 256, and a sweep runs no more worker processes
-than there are CPUs or than half its pairs.  A sweep makes at most 400,000
-records, all held until emitted (a-max <= 105 without --b-max).
+than there are CPUs or than half its pairs.  A sweep makes at most
+MAX_SWEEP_RECORDS = 400,000 records, all held until emitted (a-max <= 105
+without --b-max); `run_sweep` counts them as it builds the range and raises
+ValueError past the bound, which exits 64 before any pair is decided.
 `construct` takes a + b of at most 1000: the set has a + b + 1 points of
 a + b coordinates, and at the bound construct then verify took 0.12 s and
 1.9 s with peak RSS of 79 MB and 102 MB (a = 1, 2 CPUs, each in a fresh
@@ -39,7 +41,7 @@ from .mixednorm import (
     pointset_to_json,
     verify_equilateral,
 )
-from .sweep import emit_report_csv, emit_report_json, margin_strings, run_sweep
+from .sweep import MAX_SWEEP_RECORDS, emit_report_csv, emit_report_json, margin_strings, run_sweep  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -55,11 +57,6 @@ MAX_JOBS = 256
 MAX_CONSTRUCT_DIM = 1000
 # verify's input file: the largest set construct emits is 24,993,135 bytes
 MAX_VERIFY_BYTES = 32 * 2**20
-# sweep's records, all held until emitted: a cold sweep of a in [2, 90] (246,975
-# records) peaked at 642 MB emitting JSON and 208 MB emitting CSV, about 2.5 KB
-# and 0.7 KB per record, so the bound is about 1 GB as JSON.  At the lemma
-# line (b_max unset) it admits a_max <= 105.
-MAX_SWEEP_RECORDS = 400_000
 
 
 class _UsageError(Exception):
@@ -152,31 +149,14 @@ def cmd_check(args: argparse.Namespace) -> tuple[str | None, int]:
     return json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE
 
 
-def _sweep_records(a_min: int, a_max: int, b_max: int | None) -> int:
-    """The number of records run_sweep(a_min, a_max, b_max) makes, in closed form."""
-    if b_max is None:
-        # a^2 - 1 pairs a < b < a^2 + a for each a; sum(a^2 - 1 for a in 1..x)
-        def below(x: int) -> int:
-            return x * (x + 1) * (2 * x + 1) // 6 - x
-
-        return below(a_max) - below(a_min - 1)
-    # b_max - a pairs for each a < b_max
-    hi = min(a_max, b_max - 1)
-    count = hi - a_min + 1
-    return count * b_max - (a_min + hi) * count // 2 if count > 0 else 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> tuple[str | None, int]:
-    if args.a_min < 2 or args.a_min > args.a_max:
-        raise _UsageError("sweep: need 2 <= a-min <= a-max")
-    if args.b_max is not None and args.b_max < 2:
-        raise _UsageError("sweep: --b-max must be >= 2")
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"sweep: --jobs must be in [1, {MAX_JOBS}]")
-    if _sweep_records(args.a_min, args.a_max, args.b_max) > MAX_SWEEP_RECORDS:
-        raise _UsageError(f"sweep: the range holds more than {MAX_SWEEP_RECORDS} pairs")
     t0 = time.perf_counter()
-    report = run_sweep(args.a_min, args.a_max, b_max=args.b_max, jobs=args.jobs)
+    try:  # run_sweep checks the range and its record count before any pair
+        report = run_sweep(args.a_min, args.a_max, b_max=args.b_max, jobs=args.jobs)
+    except ValueError as exc:
+        raise _UsageError(f"sweep: {exc}") from None
     text = emit_report_csv(report) if args.format == "csv" else emit_report_json(report)
     print(
         f"sweep: {len(report.records)} pairs, {len(report.failing_pairs)} failing, "

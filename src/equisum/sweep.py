@@ -1,11 +1,12 @@
 """Scan (a, b) ranges and reproduce the feasibility boundary table.
 
-Every pair is an independent pure computation.  One row builder, `_rows`,
-makes the records of a contiguous range of b for one a; the serial scan and
-the process pool both map it over such ranges in input order, so the emitted
-artifacts are byte-identical regardless of worker count.  Pairs at or
-beyond the threshold b >= a^2 + a are covered by the certified lemma rather
-than re-decided; the lemma certificate itself is spot-checked once per a.
+Every pair is an independent pure computation.  `run_sweep` checks, counts
+and splits a range; one row builder, `_rows`, makes the records of a
+contiguous range of b for one a, and the serial scan and the process pool
+both map it over one task list in input order, so the emitted artifacts are
+byte-identical regardless of worker count.  Pairs at or beyond the threshold
+b >= a^2 + a are covered by the certified lemma rather than re-decided; the
+lemma certificate itself is spot-checked once per a.
 
 A record is a `SweepRecord`, a NamedTuple row.  A report is emitted as CSV
 or JSON, one record per pair with its fields in declaration order; nothing
@@ -30,17 +31,18 @@ from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
 _MARGIN_CONTEXT = Context(prec=MARGIN_DIGITS)
-
-
-def _decimal_str(num: int, den: int) -> str:
-    """num/den (den > 0) to MARGIN_DIGITS significant decimal digits,
-    correctly rounded (half to even).  The ideal exponent of an integer
-    quotient is 0, so a factor common to num and den changes nothing."""
-    return str(_MARGIN_CONTEXT.divide(Decimal(num), Decimal(den)))
+# records of one sweep, all held until emitted: a cold sweep of a in [2, 90]
+# (246,975 records) peaked at 642 MB emitting JSON and 208 MB emitting CSV,
+# about 2.5 KB and 0.7 KB per record, so the bound is about 1 GB as JSON.  At
+# the lemma line (b_max unset) it admits a_max <= 105.
+MAX_SWEEP_RECORDS = 400_000
 
 
 def margin_strings(margin: Margin) -> tuple[str, str]:
-    """`_decimal_str` of lo/D and hi/D for a margin (lo, hi, D), D converted once."""
+    """lo/D and hi/D of a margin (lo, hi, D), D > 0, each to MARGIN_DIGITS
+    significant decimal digits, correctly rounded (half to even).  The ideal
+    exponent of an integer quotient is 0, so a factor common to an endpoint
+    and D changes nothing: the unreduced quotient rounds as the reduced one."""
     lo, hi, den = margin
     d, divide = Decimal(den), _MARGIN_CONTEXT.divide
     return str(divide(Decimal(lo), d)), str(divide(Decimal(hi), d))
@@ -49,8 +51,8 @@ def margin_strings(margin: Margin) -> tuple[str, str]:
 # fraction_to_decimal_str renders nothing in the package: benchmarks/spans.py
 # traces its name and the tests render the Fraction reference with it.
 def fraction_to_decimal_str(q: Fraction) -> str:
-    """`_decimal_str` of an exact rational."""
-    return _decimal_str(q.numerator, q.denominator)
+    """An exact rational rendered as `margin_strings` renders an endpoint."""
+    return str(_MARGIN_CONTEXT.divide(Decimal(q.numerator), Decimal(q.denominator)))
 
 
 class SweepRecord(NamedTuple):
@@ -74,9 +76,11 @@ class SweepReport:
     conclusive: bool
 
 
-def _rows(a: int, b_lo: int, b_hi: int) -> list[SweepRecord]:
-    """The records of the pairs (a, b), a < b_lo <= b <= b_hi.  c, alpha and beta
-    are derived inline and built into `Parameters` only for pairs to decide."""
+def _rows(task: tuple[int, int, int]) -> list[SweepRecord]:
+    """The records of the pairs (a, b) of a task (a, b_lo, b_hi), a < b_lo <= b
+    <= b_hi.  c, alpha and beta are derived inline and built into `Parameters`
+    only for pairs to decide."""
+    a, b_lo, b_hi = task
     new = tuple.__new__  # a NamedTuple without the Python frame of its __new__
     n = a + 1
     rows = []
@@ -101,7 +105,7 @@ def evaluate_pair(a: int, b: int) -> SweepRecord:
     """Classify one pair b > a >= 2 into a sweep record."""
     if not (b > a >= 2):
         raise ValueError(f"evaluate_pair requires b > a >= 2, got a={a} b={b}")
-    return _rows(a, b, b)[0]
+    return _rows((a, b, b))[0]
 
 
 def run_sweep(
@@ -113,30 +117,40 @@ def run_sweep(
     """Scan all pairs with a in [a_min, a_max] and a < b <= B.
 
     B is a^2 + a - 1 when b_max is None (everything beyond is covered by the
-    lemma and needs no records) or b_max when given explicitly.  At most
-    `jobs` worker processes run, and never more than the CPU count or half
-    the number of pairs.  Records come back in input order, so worker count
-    never changes the report.
+    lemma and needs no records) or b_max when given explicitly; an a >= b_max
+    has no records and is not visited.  The records are counted as the range
+    is built, and more than MAX_SWEEP_RECORDS raise ValueError before any
+    pair is decided.  At most `jobs` worker processes run, and never more
+    than the CPU count or half the number of pairs.  Records come back in
+    input order, so worker count never changes the report.
     """
     if not 2 <= a_min <= a_max:
-        raise ValueError(f"run_sweep requires 2 <= a_min <= a_max, got [{a_min}, {a_max}]")
+        raise ValueError(f"need 2 <= a_min <= a_max, got [{a_min}, {a_max}]")
+    if b_max is not None and b_max < 2:
+        raise ValueError(f"need b_max >= 2, got {b_max}")
     if jobs < 1:
-        raise ValueError(f"run_sweep: jobs must be >= 1, got {jobs}")
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    # (a, b_lo, b_hi): the range of b of each a, empty when b_hi <= a
-    segments = [(a, a + 1, a * a + a - 1 if b_max is None else b_max) for a in range(a_min, a_max + 1)]
-    lemma_relied = [a for a in range(a_min, a_max + 1) if b_max is None or b_max >= a * a + a]
-    pairs = sum(max(hi - a, 0) for a, _, hi in segments)
+    # (a, b_lo, b_hi) for each a with records, counted as they are built
+    segments, pairs = [], 0
+    for a in range(a_min, a_max + 1 if b_max is None else min(a_max + 1, b_max)):
+        b_hi = a * a + a - 1 if b_max is None else b_max
+        pairs += b_hi - a
+        if pairs > MAX_SWEEP_RECORDS:
+            raise ValueError(f"the range holds more than {MAX_SWEEP_RECORDS} pairs")
+        segments.append((a, a + 1, b_hi))
+    lemma_relied = [a for a, _, _ in segments if b_max is None or b_max >= a * a + a]
 
-    # a worker gets at least two pairs, or the pool costs more than it saves
-    workers = min(jobs, os.cpu_count() or 1, pairs // 2)
-    if workers <= 1:
-        chunks = [_rows(*segment) for segment in segments]
+    # a worker gets at least two pairs, or the pool costs more than it saves;
+    # one worker's share is every pair, so then each a is one task
+    workers = max(1, min(jobs, os.cpu_count() or 1, pairs // 2))
+    share = -(-pairs // workers)  # no task is longer than a worker's share
+    tasks = [(a, lo, min(lo + share - 1, hi)) for a, b, hi in segments for lo in range(b, hi + 1, share)]
+    if workers == 1:
+        chunks = map(_rows, tasks)
     else:
-        share = -(-pairs // workers)  # no task is longer than a worker's share
-        tasks = [(a, lo, min(lo + share - 1, hi)) for a, b, hi in segments for lo in range(b, hi + 1, share)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_rows, *zip(*tasks)))
+            chunks = list(pool.map(_rows, tasks))
     records = [row for chunk in chunks for row in chunk]
 
     lemma_certified = [a for a in lemma_relied if lemma_certificate(a)]

@@ -1,7 +1,8 @@
 """Out-of-range input ends in a documented exit code before any work starts:
 non-finite or mistyped point-set JSON, a file larger than verify reads and a
 set of more points than verify takes (65), construct's dimensions, --jobs,
-the number of sweep records and verify's --rel-tol (64)."""
+the number of sweep records (counted by run_sweep, at most
+sweep.MAX_SWEEP_RECORDS = 400,000) and verify's --rel-tol (64)."""
 
 import json
 import os
@@ -205,14 +206,43 @@ class TestVerifyPipe:
         assert out == "" and "larger than" in err
 
 
+def plain_enumeration(a_min, a_max, b_max):
+    """(a, b) for a in [a_min, a_max] and a < b <= B(a), B(a) being b_max or,
+    unset, one below the lemma line a^2 + a."""
+    return [
+        (a, b)
+        for a in range(a_min, a_max + 1)
+        for b in range(a + 1, (a * a + a - 1 if b_max is None else b_max) + 1)
+    ]
+
+
+def closed_form_count(a_min, a_max, b_max):
+    """The length of `plain_enumeration`, summed in closed form."""
+    if b_max is None:
+        # a^2 - 1 pairs a < b < a^2 + a for each a; sum(a^2 - 1 for a in 1..x)
+        def below(x):
+            return x * (x + 1) * (2 * x + 1) // 6 - x
+
+        return below(a_max) - below(a_min - 1)
+    # b_max - a pairs for each a < b_max
+    hi = min(a_max, b_max - 1)
+    count = hi - a_min + 1
+    return count * b_max - (a_min + hi) * count // 2 if count > 0 else 0
+
+
 class TestSweepBound:
+    """run_sweep checks and counts the range; exit 64 with `_rows` and
+    `lemma_certificate` replaced by `_reached` means no pair was decided and
+    no lemma certified."""
+
     @pytest.mark.parametrize(
         "a_min,a_max,b_max",
         [(2, 2, None), (2, 7, None), (5, 9, None), (2, 2, 3), (2, 6, 2), (3, 6, 5), (2, 6, 40), (4, 9, 7)],
     )
     def test_record_count_in_closed_form(self, a_min, a_max, b_max):
         records = sweep.run_sweep(a_min, a_max, b_max=b_max).records
-        assert cli._sweep_records(a_min, a_max, b_max) == len(records)
+        assert [(r.a, r.b) for r in records] == plain_enumeration(a_min, a_max, b_max)
+        assert closed_form_count(a_min, a_max, b_max) == len(records)
 
     @pytest.mark.parametrize(
         "argv",
@@ -222,7 +252,7 @@ class TestSweepBound:
         ],
     )
     def test_bound_itself_reaches_run_sweep(self, monkeypatch, argv):
-        monkeypatch.setattr(cli, "run_sweep", _reached)
+        monkeypatch.setattr(sweep, "_rows", _reached)
         with pytest.raises(_Reached):
             cli.main(["sweep", "--a-min", "2", *argv])
 
@@ -236,10 +266,42 @@ class TestSweepBound:
         ],
     )
     def test_above_bound_exits_64_before_sweeping(self, monkeypatch, capsys, argv):
-        monkeypatch.setattr(cli, "run_sweep", _reached)
+        monkeypatch.setattr(sweep, "_rows", _reached)
+        monkeypatch.setattr(sweep, "lemma_certificate", _reached)
         assert cli.main(["sweep", "--a-min", "2", *argv]) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and f"more than {cli.MAX_SWEEP_RECORDS}" in err
+
+    def test_bound_is_checked_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_rows", _reached)
+        with pytest.raises(ValueError, match=f"more than {cli.MAX_SWEEP_RECORDS}"):
+            sweep.run_sweep(2, 106)
+
+    def test_no_a_at_or_past_b_max_is_visited(self, capsys):
+        # an a >= b-max has no records and is not visited, so a-max costs nothing
+        argv = ["sweep", "--a-min", "2", "--a-max", str(10**18), "--b-max", "5", "--format", "csv"]
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == sweep.CSV_HEADER
+        assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == plain_enumeration(2, 4, 5)
+
+    def test_rows_run_only_below_b_max(self, monkeypatch):
+        calls, rows = [], sweep._rows
+
+        def counted(*args):
+            calls.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(sweep, "_rows", counted)
+        report = sweep.run_sweep(2, 1000, b_max=5)
+        assert len(calls) == 3  # a = 2, 3, 4: each a < 5 is one task
+        assert len(report.records) == 6
+
+    def test_empty_range(self, capsys):
+        report = sweep.run_sweep(2, 6, b_max=2)
+        assert (report.records, report.failing_pairs, report.lemma_certified, report.conclusive) == ([], [], [], True)
+        assert cli.main(["sweep", "--a-min", "2", "--a-max", "6", "--b-max", "2", "--format", "csv"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == sweep.CSV_HEADER + "\n"
 
 
 class _NoPool:

@@ -34,11 +34,11 @@ from equisum.feasibility import (
 from equisum.geometry import circumradius_sq
 from equisum.realnum import DEFAULT_EPS_FLOOR, Enclosure, Sign, enclose_sqrt, sign_with_enclosure, sqrt_bracket
 from equisum.sweep import (
-    _decimal_str,
     emit_report_csv,
     emit_report_json,
     evaluate_pair,
     fraction_to_decimal_str,
+    margin_strings,
     run_sweep,
 )
 
@@ -227,7 +227,7 @@ class TestIntegerDecisionMatchesReference:
     def assert_same(kind, lo, hi, den, sign, enc):
         assert kind is KIND_OF_SIGN[sign]
         assert as_enclosure((lo, hi, den)) == enc
-        rendered = (_decimal_str(lo, den), _decimal_str(hi, den))
+        rendered = margin_strings((lo, hi, den))
         assert rendered == (fraction_to_decimal_str(enc.lo), fraction_to_decimal_str(enc.hi))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -271,11 +271,12 @@ class TestIntegerDecisionMatchesReference:
     @example(n=1, d=10**12, k=6)
     @example(n=10**45, d=3, k=7)
     def test_unreduced_rendering(self, n, d, k):
-        assert _decimal_str(k * n, k * d) == fraction_to_decimal_str(Fraction(n, d))
+        reduced = fraction_to_decimal_str(Fraction(n, d))
+        assert margin_strings((k * n, k * n, k * d)) == (reduced, reduced)
 
     def test_short_exact_results_stay_short(self):
-        assert _decimal_str(-14, 8) == "-1.75"
-        assert _decimal_str(3 * 2**100, 2**102) == "0.75"
+        assert margin_strings((-14, -14, 8)) == ("-1.75", "-1.75")
+        assert margin_strings((3 * 2**100, 3 * 2**100, 2**102)) == ("0.75", "0.75")
 
     @settings(max_examples=15, derandomize=True, deadline=None)
     @given(n=st.integers(1, 10**6))
