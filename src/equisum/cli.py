@@ -8,9 +8,14 @@ cannot be written (--out in a missing directory, say).
 
 `sweep --jobs` is at most 256, and a sweep runs no more worker processes
 than there are CPUs or than half its pairs.  A sweep makes at most
-MAX_SWEEP_RECORDS = 400,000 records, all held until emitted (a-max <= 105
-without --b-max); `run_sweep` counts them as it builds the range and raises
-ValueError past the bound, which exits 64 before any pair is decided.
+MAX_SWEEP_RECORDS = 400,000 records (a-max <= 105 without --b-max); the
+sweep counts them as it builds the range and raises ValueError past the
+bound, which exits 64 before any pair is decided or --out is opened.
+`--format csv` is written task by task, a range of b for one a of at most
+a^2 - 1 rows (and never more than 4,096), so it holds O(a^2) records at
+once; a sweep stopped partway leaves the rows already written in --out.
+JSON puts its summary before the records, so it holds every record until
+it is emitted.
 `construct` takes a + b of at most 1000: the set has a + b + 1 points of
 a + b coordinates, and at the bound construct then verify took 0.12 s and
 1.9 s with peak RSS of 79 MB and 102 MB (a = 1, 2 CPUs, each in a fresh
@@ -32,6 +37,7 @@ import math
 import os
 import sys
 import time
+from typing import Iterator
 
 from .constructions import InfeasibleConstructionError, construct
 from .feasibility import FeasibilityVerdict, VerdictKind, classify, lemma_applies
@@ -41,7 +47,7 @@ from .mixednorm import (
     pointset_to_json,
     verify_equilateral,
 )
-from .sweep import MAX_SWEEP_RECORDS, emit_report_csv, emit_report_json, margin_strings, run_sweep  # noqa: F401
+from .sweep import CSV_HEADER, MAX_SWEEP_RECORDS, Sweep, csv_rows, emit_report_json, margin_strings  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -63,6 +69,10 @@ class _UsageError(Exception):
     pass
 
 
+class _DataError(Exception):
+    """Input data that cannot be used: exit 65, with this message."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; route through the documented code instead
     def error(self, message: str):
@@ -78,11 +88,19 @@ def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
     return obj
 
 
-# Each command returns its payload, or None when it has none, and its exit
-# code; main writes the payload to stdout or --out.
+# Each command checks its arguments and input, or raises, and returns a
+# generator that yields its payload in pieces and returns its exit code.  main
+# opens --out only once the command has returned, so an input that exits 64
+# or 65 never creates or truncates it, and writes each piece as it comes.
 
 
-def cmd_construct(args: argparse.Namespace) -> tuple[str | None, int]:
+def _payload(text: str, code: int) -> Iterator[str]:
+    """A payload of one piece."""
+    yield text
+    return code
+
+
+def cmd_construct(args: argparse.Namespace) -> Iterator[str]:
     if args.a < 1 or args.b < 1:
         raise _UsageError("construct: --a and --b must be >= 1")
     if args.a + args.b > MAX_CONSTRUCT_DIM:
@@ -94,12 +112,12 @@ def cmd_construct(args: argparse.Namespace) -> tuple[str | None, int]:
         body["verdict"] = _verdict_jsonable(exc.verdict)
         text = json.dumps(body, indent=2) + "\n"
         if exc.verdict.kind is VerdictKind.INDETERMINATE:
-            return text, EXIT_INDETERMINATE
-        return text, EXIT_INFEASIBLE
-    return pointset_to_json(result.point_set), EXIT_OK
+            return _payload(text, EXIT_INDETERMINATE)
+        return _payload(text, EXIT_INFEASIBLE)
+    return _payload(pointset_to_json(result.point_set), EXIT_OK)
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str | None, int]:
+def cmd_verify(args: argparse.Namespace) -> Iterator[str]:
     if not 0 < args.rel_tol < math.inf:
         raise _UsageError("verify: --rel-tol must be positive and finite")
     try:
@@ -116,11 +134,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str | None, int]:
         del data  # else the bytes stay alive, and count in peak memory, through the parse
         point_set = pointset_from_json(text)
     except (OSError, ValueError) as exc:
-        print(f"verify: cannot read point set: {exc}", file=sys.stderr)
-        return None, EXIT_DATA
+        raise _DataError(f"verify: cannot read point set: {exc}") from None
     if len(point_set) > MAX_CONSTRUCT_DIM + 1:
-        print(f"verify: {len(point_set)} points, at most {MAX_CONSTRUCT_DIM + 1} allowed", file=sys.stderr)
-        return None, EXIT_DATA
+        raise _DataError(f"verify: {len(point_set)} points, at most {MAX_CONSTRUCT_DIM + 1} allowed")
     report = verify_equilateral(point_set, args.rel_tol)
     body = {
         "n_points": report.n_points,
@@ -131,10 +147,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str | None, int]:
         "worst_pair": list(report.worst_pair) if report.worst_pair else None,
         "pass": report.passed,
     }
-    return json.dumps(body, indent=2) + "\n", EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return _payload(json.dumps(body, indent=2) + "\n", EXIT_OK if report.passed else EXIT_VERIFY_FAIL)
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[str | None, int]:
+def cmd_check(args: argparse.Namespace) -> Iterator[str]:
     if args.a < 1 or args.b < 1:
         raise _UsageError("check: --a and --b must be >= 1")
     verdict = classify(args.a, args.b)
@@ -146,24 +162,32 @@ def cmd_check(args: argparse.Namespace) -> tuple[str | None, int]:
         body["resolved"] = _verdict_jsonable(effective)
     lo, hi = sorted((args.a, args.b))
     body["lemma_covered"] = bool(hi > lo >= 2 and lemma_applies(lo, hi))
-    return json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE
+    return _payload(json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE)
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[str | None, int]:
+def cmd_sweep(args: argparse.Namespace) -> Iterator[str]:
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"sweep: --jobs must be in [1, {MAX_JOBS}]")
-    t0 = time.perf_counter()
-    try:  # run_sweep checks the range and its record count before any pair
-        report = run_sweep(args.a_min, args.a_max, b_max=args.b_max, jobs=args.jobs)
+    try:  # the range and its record count are checked before any pair is decided
+        sweep = Sweep(args.a_min, args.a_max, b_max=args.b_max, jobs=args.jobs)
     except ValueError as exc:
         raise _UsageError(f"sweep: {exc}") from None
-    text = emit_report_csv(report) if args.format == "csv" else emit_report_json(report)
-    print(
-        f"sweep: {len(report.records)} pairs, {len(report.failing_pairs)} failing, "
-        f"{time.perf_counter() - t0:.2f}s",
-        file=sys.stderr,
-    )
-    return text, EXIT_OK if report.conclusive else EXIT_INDETERMINATE
+    return _sweep_payload(sweep, args.format)
+
+
+def _sweep_payload(sweep: Sweep, fmt: str) -> Iterator[str]:
+    t0 = time.perf_counter()
+    if fmt == "csv":  # each task's rows as they come: one task's records are held
+        yield CSV_HEADER + "\n"
+        for chunk in sweep.chunks():
+            yield csv_rows(chunk)
+        failing, _, conclusive = sweep.tally()
+    else:  # JSON puts its summary before the records, so it holds them all
+        report = sweep.report()
+        failing, conclusive = report.failing_pairs, report.conclusive
+        yield emit_report_json(report)
+    print(f"sweep: {sweep.pairs} pairs, {len(failing)} failing, {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    return EXIT_OK if conclusive else EXIT_INDETERMINATE
 
 
 @functools.cache
@@ -202,26 +226,35 @@ def _build_parser() -> _Parser:
 _COMMANDS = {"construct": cmd_construct, "verify": cmd_verify, "check": cmd_check, "sweep": cmd_sweep}
 
 
+def _write(payload: Iterator[str], fh) -> int:
+    """Write each piece of a command's payload to fh; its exit code."""
+    while True:
+        try:
+            piece = next(payload)
+        except StopIteration as end:
+            return end.value
+        fh.write(piece)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text, code = _COMMANDS[args.command](args)
+        payload = _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"equisum: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if text is None:
-        return code
+    except _DataError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DATA
     try:
         if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            return _write(payload, sys.stdout)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            return _write(payload, fh)
     except OSError as exc:
         print(f"equisum: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CANTCREAT
-    return code
 
 
 if __name__ == "__main__":

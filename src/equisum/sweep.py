@@ -1,6 +1,6 @@
 """Scan (a, b) ranges and reproduce the feasibility boundary table.
 
-Every pair is an independent pure computation.  `run_sweep` checks, counts
+Every pair is an independent pure computation.  A `Sweep` checks, counts
 and splits a range; one row builder, `_rows`, makes the records of a
 contiguous range of b for one a, and the serial scan and the process pool
 both map it over one task list in input order, so the emitted artifacts are
@@ -10,10 +10,15 @@ lemma certificate itself is spot-checked once per a.
 
 A record is a `SweepRecord`, a NamedTuple row.  A report is emitted as CSV
 or JSON, one record per pair with its fields in declaration order; nothing
-in the package reads a report back.  A pair's margin is rendered from the
-integers (lo, hi, D) of the verdict `check_inequality` returns: each
-endpoint lo/D, hi/D is divided out, unreduced, to MARGIN_DIGITS significant
-digits.  `check` renders the same way, through `margin_strings`.
+in the package reads a report back.  `Sweep.chunks` yields each task's
+records as they are made and `csv_rows` renders one chunk, so CSV can be
+written task by task in O(a^2) memory, one task of at most a^2 - 1 rows and
+never more than _TASK_ROWS (`equisum sweep --format csv` does).  `run_sweep`
+and JSON, whose summary comes before its records, hold every record.  A
+pair's margin is rendered from the integers (lo, hi, D) of the verdict
+`check_inequality` returns: each endpoint lo/D, hi/D is divided out,
+unreduced, to MARGIN_DIGITS significant digits.  `check` renders the same
+way, through `margin_strings`.
 """
 
 from __future__ import annotations
@@ -24,18 +29,22 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .feasibility import Margin, Parameters, VerdictKind, check_inequality, lemma_certificate
 from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
 _MARGIN_CONTEXT = Context(prec=MARGIN_DIGITS)
-# records of one sweep, all held until emitted: a cold sweep of a in [2, 90]
-# (246,975 records) peaked at 642 MB emitting JSON and 208 MB emitting CSV,
-# about 2.5 KB and 0.7 KB per record, so the bound is about 1 GB as JSON.  At
-# the lemma line (b_max unset) it admits a_max <= 105.
+# records of one sweep.  JSON holds them all until it is emitted: a cold
+# sweep of a in [2, 90] (246,975 records) peaked at 642 MB emitting JSON,
+# about 2.5 KB per record, so the bound is about 1 GB as JSON.  CSV is written
+# one task at a time, so its memory does not grow with the count.  At the
+# lemma line (b_max unset) the bound admits a_max <= 105.
 MAX_SWEEP_RECORDS = 400_000
+# rows of one task, so a CSV sweep holds at most this many records at once
+# even when --b-max makes one a's range of b far longer than a^2
+_TASK_ROWS = 4096
 
 
 def margin_strings(margin: Margin) -> tuple[str, str]:
@@ -108,6 +117,82 @@ def evaluate_pair(a: int, b: int) -> SweepRecord:
     return _rows((a, b, b))[0]
 
 
+class Sweep:
+    """One sweep: its range, checked, counted and split into tasks when it is
+    made, and the tally of its verdicts.
+
+    `chunks` yields each task's records in input order and tallies them as
+    they pass, so a caller that writes each chunk and drops it holds one
+    task's records at a time.  `tally` reads the tally once `chunks` is
+    exhausted; `report` holds every record.
+    """
+
+    def __init__(self, a_min: int, a_max: int, b_max: int | None = None, jobs: int = 1) -> None:
+        if not 2 <= a_min <= a_max:
+            raise ValueError(f"need 2 <= a_min <= a_max, got [{a_min}, {a_max}]")
+        if b_max is not None and b_max < 2:
+            raise ValueError(f"need b_max >= 2, got {b_max}")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+        # (a, b_lo, b_hi) for each a with records, counted as they are built
+        segments, pairs = [], 0
+        for a in range(a_min, a_max + 1 if b_max is None else min(a_max + 1, b_max)):
+            b_hi = a * a + a - 1 if b_max is None else b_max
+            pairs += b_hi - a
+            if pairs > MAX_SWEEP_RECORDS:
+                raise ValueError(f"the range holds more than {MAX_SWEEP_RECORDS} pairs")
+            segments.append((a, a + 1, b_hi))
+        self.pairs = pairs
+        self._lemma_relied = [a for a, _, _ in segments if b_max is None or b_max >= a * a + a]
+
+        # a worker gets at least two pairs, or the pool costs more than it saves;
+        # one worker's share is every pair, so then each a is one task unless
+        # it has more than _TASK_ROWS pairs
+        self._workers = max(1, min(jobs, os.cpu_count() or 1, pairs // 2))
+        share = min(-(-pairs // self._workers), _TASK_ROWS)  # the longest task
+        self._tasks = [(a, lo, min(lo + share - 1, hi)) for a, b, hi in segments for lo in range(b, hi + 1, share)]
+        self.config = {
+            "a_min": a_min,
+            "a_max": a_max,
+            "b_policy": "UpToLemma" if b_max is None else "Explicit",
+            "b_max": b_max,
+            "eps_floor": str(DEFAULT_EPS_FLOOR),
+        }
+        self._failing: list[tuple[int, int]] = []
+        self._undecided = False
+
+    def chunks(self) -> Iterator[list[SweepRecord]]:
+        """The records of each task, in input order, tallied as they pass."""
+        self._failing, self._undecided = [], False
+        if self._workers == 1:
+            yield from map(self._tallied, map(_rows, self._tasks))
+        else:
+            with ProcessPoolExecutor(max_workers=self._workers) as pool:
+                # taken one task at a time, in input order; a consumer that
+                # stops early closes pool.map, which cancels the tasks not begun
+                yield from map(self._tallied, pool.map(_rows, self._tasks))
+
+    def _tallied(self, rows: list[SweepRecord]) -> list[SweepRecord]:
+        fails, undecided = VerdictKind.INEQUALITY_FAILS.value, VerdictKind.INDETERMINATE.value
+        self._failing += [(r.a, r.b) for r in rows if r.verdict == fails]
+        self._undecided = self._undecided or any(r.verdict == undecided for r in rows)
+        return rows
+
+    def tally(self) -> tuple[list[tuple[int, int]], list[int], bool]:
+        """Once `chunks` is exhausted: the failing pairs, the a whose lemma
+        certificate holds, and whether every verdict is decided and every a
+        that relies on the lemma certified."""
+        certified = [a for a in self._lemma_relied if lemma_certificate(a)]
+        return sorted(self._failing), certified, not self._undecided and certified == self._lemma_relied
+
+    def report(self) -> SweepReport:
+        """The sweep with every record held."""
+        records = [row for chunk in self.chunks() for row in chunk]
+        failing, certified, conclusive = self.tally()
+        return SweepReport(records, failing, self.config, certified, conclusive)
+
+
 def run_sweep(
     a_min: int,
     a_max: int,
@@ -124,57 +209,22 @@ def run_sweep(
     than the CPU count or half the number of pairs.  Records come back in
     input order, so worker count never changes the report.
     """
-    if not 2 <= a_min <= a_max:
-        raise ValueError(f"need 2 <= a_min <= a_max, got [{a_min}, {a_max}]")
-    if b_max is not None and b_max < 2:
-        raise ValueError(f"need b_max >= 2, got {b_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-    # (a, b_lo, b_hi) for each a with records, counted as they are built
-    segments, pairs = [], 0
-    for a in range(a_min, a_max + 1 if b_max is None else min(a_max + 1, b_max)):
-        b_hi = a * a + a - 1 if b_max is None else b_max
-        pairs += b_hi - a
-        if pairs > MAX_SWEEP_RECORDS:
-            raise ValueError(f"the range holds more than {MAX_SWEEP_RECORDS} pairs")
-        segments.append((a, a + 1, b_hi))
-    lemma_relied = [a for a, _, _ in segments if b_max is None or b_max >= a * a + a]
-
-    # a worker gets at least two pairs, or the pool costs more than it saves;
-    # one worker's share is every pair, so then each a is one task
-    workers = max(1, min(jobs, os.cpu_count() or 1, pairs // 2))
-    share = -(-pairs // workers)  # no task is longer than a worker's share
-    tasks = [(a, lo, min(lo + share - 1, hi)) for a, b, hi in segments for lo in range(b, hi + 1, share)]
-    if workers == 1:
-        chunks = map(_rows, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_rows, tasks))
-    records = [row for chunk in chunks for row in chunk]
-
-    lemma_certified = [a for a in lemma_relied if lemma_certificate(a)]
-    fails, undecided = VerdictKind.INEQUALITY_FAILS.value, VerdictKind.INDETERMINATE.value
-    failing = sorted((r.a, r.b) for r in records if r.verdict == fails)
-    conclusive = all(r.verdict != undecided for r in records) and lemma_certified == lemma_relied
-    config = {
-        "a_min": a_min,
-        "a_max": a_max,
-        "b_policy": "UpToLemma" if b_max is None else "Explicit",
-        "b_max": b_max,
-        "eps_floor": str(DEFAULT_EPS_FLOOR),
-    }
-    return SweepReport(records, failing, config, lemma_certified, conclusive)
+    return Sweep(a_min, a_max, b_max, jobs).report()
 
 
 CSV_HEADER = "a,b,c,alpha,beta,verdict,margin_lo,margin_hi,lemma_covered"
 
 
+def csv_rows(records: Iterable[SweepRecord]) -> str:
+    """The CSV lines of records, each ended by a newline."""
+    return "".join([
+        f"{a},{b},{c},{alpha},{beta},{verdict},{lo or ''},{hi or ''},{'true' if covered else 'false'}\n"
+        for a, b, c, alpha, beta, verdict, lo, hi, covered in records
+    ])
+
+
 def emit_report_csv(report: SweepReport) -> str:
-    lines = [CSV_HEADER]
-    for a, b, c, alpha, beta, verdict, lo, hi, covered in report.records:
-        lines.append(f"{a},{b},{c},{alpha},{beta},{verdict},{lo or ''},{hi or ''},{'true' if covered else 'false'}")
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + csv_rows(report.records)
 
 
 def emit_report_json(report: SweepReport) -> str:

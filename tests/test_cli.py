@@ -171,9 +171,15 @@ class TestUnwritableOut:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_exits_73_with_one_error_line(self, tmp_path, capsys, argv):
+    def test_exits_73_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        from equisum import sweep
         from equisum.cli import EXIT_CANTCREAT, main
 
+        def unreached(task):
+            raise AssertionError(f"a pair was decided before --out was opened: {task}")
+
+        # --out is opened before the sweep decides any pair
+        monkeypatch.setattr(sweep, "_rows", unreached)
         set_path = tmp_path / "two.json"
         set_path.write_text(TWO_POINTS)
         argv = [arg.format(set=set_path) for arg in argv]
@@ -183,7 +189,7 @@ class TestUnwritableOut:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert lines[-1].startswith("equisum: cannot write output:")
-        assert len(lines) == (2 if argv[0] == "sweep" else 1)  # sweep logs its summary first
+        assert len(lines) == 1
 
 
 class TestOutFile:
@@ -207,3 +213,99 @@ class TestOutFile:
         # a character device: it seeks, but cannot be truncated
         proc = run_cli(cmd, "--a", "2", "--b", "3", "--out", "/dev/null")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+class TestStreamedSweep:
+    """`sweep --format csv` writes each task's rows as they are made."""
+
+    def test_csv_peak_memory_is_one_task(self, tmp_path):
+        # a in [2, 40] is 22,100 records; holding them all peaked at 14 MB
+        import tracemalloc
+
+        from equisum.cli import main
+
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--a-min", "2", "--a-max", "40", "--format", "csv", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.read_text().count("\n") == 1 + sum(a * a - 1 for a in range(2, 41))
+        assert peak < 3 * 2**20
+
+    def test_range_over_the_bound_leaves_out_untouched(self, tmp_path, capsys):
+        from equisum.cli import EXIT_USAGE, main
+
+        out = tmp_path / "existing.csv"
+        out.write_bytes(b"kept\n")
+        argv = ["sweep", "--a-min", "2", "--a-max", "106", "--format", "csv", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert out.read_bytes() == b"kept\n"
+        assert capsys.readouterr().out == ""
+
+    def test_unreadable_set_leaves_out_untouched(self, tmp_path):
+        from equisum.cli import EXIT_DATA, main
+
+        bad, out = tmp_path / "bad.json", tmp_path / "existing.json"
+        bad.write_text("{this is not json")
+        out.write_bytes(b"kept\n")
+        assert main(["verify", "--in", str(bad), "--out", str(out)]) == EXIT_DATA
+        assert out.read_bytes() == b"kept\n"
+
+    def test_pool_to_stdout_matches_serial(self, capsys):
+        from equisum.cli import main
+
+        argv = ["sweep", "--a-min", "2", "--a-max", "12", "--format", "csv"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert serial.count("\n") == 1 + sum(a * a - 1 for a in range(2, 13))
+
+    def test_indeterminate_writes_every_row_and_exits_3(self, monkeypatch, capsys):
+        from equisum import sweep
+        from equisum.cli import EXIT_INDETERMINATE, main
+        from equisum.feasibility import FeasibilityVerdict, VerdictKind, check_inequality
+
+        def undecided(p):
+            return FeasibilityVerdict(VerdictKind.INDETERMINATE, p, check_inequality(p).margin)
+
+        argv = ["sweep", "--a-min", "2", "--a-max", "8", "--format", "csv"]
+        assert main(argv) == 0
+        decided = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(sweep, "check_inequality", undecided)
+        assert main(argv) == EXIT_INDETERMINATE
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == len(decided) == 1 + sum(a * a - 1 for a in range(2, 9))
+        # the rows check_inequality decided say Indeterminate, the rest are unchanged
+        changed = [(old, new) for old, new in zip(decided, lines) if old != new]
+        assert changed and all(
+            new == old.replace(",InequalityHolds,", ",Indeterminate,").replace(",InequalityFails,", ",Indeterminate,")
+            for old, new in changed
+        )
+        assert err.startswith(f"sweep: {len(lines) - 1} pairs, 0 failing")
+
+    def test_long_b_range_is_written_in_bounded_tasks(self, tmp_path):
+        # one a with --b-max far past a^2: 59,998 rows, split into tasks of
+        # at most sweep._TASK_ROWS; one task of them all peaked at 18 MB
+        import tracemalloc
+
+        from equisum import sweep
+        from equisum.cli import main
+
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--a-min", "2", "--a-max", "2", "--b-max", "60000", "--format", "csv", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[1:] == sweep.csv_rows(sweep.run_sweep(2, 2, b_max=60000).records).splitlines()
+        assert len(lines) == 59_999 > sweep._TASK_ROWS
+        assert peak < 3 * 2**20
