@@ -37,7 +37,7 @@ import math
 import os
 import sys
 import time
-from typing import Iterator
+from typing import Generator
 
 from .constructions import InfeasibleConstructionError, construct
 from .feasibility import FeasibilityVerdict, VerdictKind, classify, lemma_applies
@@ -92,15 +92,16 @@ def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
 # generator that yields its payload in pieces and returns its exit code.  main
 # opens --out only once the command has returned, so an input that exits 64
 # or 65 never creates or truncates it, and writes each piece as it comes.
+_Payload = Generator[str, None, int]
 
 
-def _payload(text: str, code: int) -> Iterator[str]:
+def _one_piece(text: str, code: int) -> _Payload:
     """A payload of one piece."""
     yield text
     return code
 
 
-def cmd_construct(args: argparse.Namespace) -> Iterator[str]:
+def cmd_construct(args: argparse.Namespace) -> _Payload:
     if args.a < 1 or args.b < 1:
         raise _UsageError("construct: --a and --b must be >= 1")
     if args.a + args.b > MAX_CONSTRUCT_DIM:
@@ -112,12 +113,12 @@ def cmd_construct(args: argparse.Namespace) -> Iterator[str]:
         body["verdict"] = _verdict_jsonable(exc.verdict)
         text = json.dumps(body, indent=2) + "\n"
         if exc.verdict.kind is VerdictKind.INDETERMINATE:
-            return _payload(text, EXIT_INDETERMINATE)
-        return _payload(text, EXIT_INFEASIBLE)
-    return _payload(pointset_to_json(result.point_set), EXIT_OK)
+            return _one_piece(text, EXIT_INDETERMINATE)
+        return _one_piece(text, EXIT_INFEASIBLE)
+    return _one_piece(pointset_to_json(result.point_set), EXIT_OK)
 
 
-def cmd_verify(args: argparse.Namespace) -> Iterator[str]:
+def cmd_verify(args: argparse.Namespace) -> _Payload:
     if not 0 < args.rel_tol < math.inf:
         raise _UsageError("verify: --rel-tol must be positive and finite")
     try:
@@ -147,10 +148,10 @@ def cmd_verify(args: argparse.Namespace) -> Iterator[str]:
         "worst_pair": list(report.worst_pair) if report.worst_pair else None,
         "pass": report.passed,
     }
-    return _payload(json.dumps(body, indent=2) + "\n", EXIT_OK if report.passed else EXIT_VERIFY_FAIL)
+    return _one_piece(json.dumps(body, indent=2) + "\n", EXIT_OK if report.passed else EXIT_VERIFY_FAIL)
 
 
-def cmd_check(args: argparse.Namespace) -> Iterator[str]:
+def cmd_check(args: argparse.Namespace) -> _Payload:
     if args.a < 1 or args.b < 1:
         raise _UsageError("check: --a and --b must be >= 1")
     verdict = classify(args.a, args.b)
@@ -162,10 +163,10 @@ def cmd_check(args: argparse.Namespace) -> Iterator[str]:
         body["resolved"] = _verdict_jsonable(effective)
     lo, hi = sorted((args.a, args.b))
     body["lemma_covered"] = bool(hi > lo >= 2 and lemma_applies(lo, hi))
-    return _payload(json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE)
+    return _one_piece(json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE)
 
 
-def cmd_sweep(args: argparse.Namespace) -> Iterator[str]:
+def cmd_sweep(args: argparse.Namespace) -> _Payload:
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"sweep: --jobs must be in [1, {MAX_JOBS}]")
     try:  # the range and its record count are checked before any pair is decided
@@ -175,7 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> Iterator[str]:
     return _sweep_payload(sweep, args.format)
 
 
-def _sweep_payload(sweep: Sweep, fmt: str) -> Iterator[str]:
+def _sweep_payload(sweep: Sweep, fmt: str) -> _Payload:
     t0 = time.perf_counter()
     if fmt == "csv":  # each task's rows as they come: one task's records are held
         yield CSV_HEADER + "\n"
@@ -226,7 +227,7 @@ def _build_parser() -> _Parser:
 _COMMANDS = {"construct": cmd_construct, "verify": cmd_verify, "check": cmd_check, "sweep": cmd_sweep}
 
 
-def _write(payload: Iterator[str], fh) -> int:
+def _write(payload: _Payload, fh) -> int:
     """Write each piece of a command's payload to fh; its exit code."""
     while True:
         try:
