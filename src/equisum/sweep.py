@@ -159,12 +159,11 @@ class Sweep:
             "b_max": b_max,
             "eps_floor": str(DEFAULT_EPS_FLOOR),
         }
-        self._failing: list[tuple[int, int]] = []
-        self._undecided = False
 
     def chunks(self) -> Iterator[list[SweepRecord]]:
         """The records of each task, in input order, tallied as they pass."""
-        self._failing, self._undecided = [], False
+        self._failing: list[tuple[int, int]] = []
+        self._undecided = False
         if self._workers == 1:
             yield from map(self._tallied, map(_rows, self._tasks))
         else:

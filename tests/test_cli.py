@@ -218,8 +218,17 @@ class TestOutFile:
 class TestStreamedSweep:
     """`sweep --format csv` writes each task's rows as they are made."""
 
-    def test_csv_peak_memory_is_one_task(self, tmp_path):
-        # a in [2, 40] is 22,100 records; holding them all peaked at 14 MB
+    @pytest.mark.parametrize(
+        "argv, records",
+        [
+            # 22,100 records; holding them all peaked at 14 MB
+            (["--a-max", "40"], sum(a * a - 1 for a in range(2, 41))),
+            # one a with --b-max far past a^2; as one task it peaked at 18 MB
+            (["--a-max", "2", "--b-max", "60000"], 59_998),
+        ],
+        ids=["a-max-40", "long-b-range"],
+    )
+    def test_csv_peak_memory_is_one_task(self, tmp_path, argv, records):
         import tracemalloc
 
         from equisum.cli import main
@@ -227,13 +236,22 @@ class TestStreamedSweep:
         out = tmp_path / "sweep.csv"
         tracemalloc.start()
         try:
-            code = main(["sweep", "--a-min", "2", "--a-max", "40", "--format", "csv", "--out", str(out)])
+            code = main(["sweep", "--a-min", "2", *argv, "--format", "csv", "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert out.read_text().count("\n") == 1 + sum(a * a - 1 for a in range(2, 41))
+        assert out.read_text().count("\n") == 1 + records
         assert peak < 3 * 2**20
+
+    def test_long_b_range_split_into_tasks_gives_the_same_rows(self, capsys):
+        from equisum import sweep
+        from equisum.cli import main
+
+        assert main(["sweep", "--a-min", "5", "--a-max", "5", "--b-max", "10000", "--format", "csv"]) == 0
+        one_task = sweep._rows((5, 6, 10_000))
+        assert len(one_task) > sweep._TASK_ROWS
+        assert capsys.readouterr().out == sweep.CSV_HEADER + "\n" + sweep.csv_rows(one_task)
 
     def test_range_over_the_bound_leaves_out_untouched(self, tmp_path, capsys):
         from equisum.cli import EXIT_USAGE, main
@@ -287,25 +305,3 @@ class TestStreamedSweep:
             for old, new in changed
         )
         assert err.startswith(f"sweep: {len(lines) - 1} pairs, 0 failing")
-
-    def test_long_b_range_is_written_in_bounded_tasks(self, tmp_path):
-        # one a with --b-max far past a^2: 59,998 rows, split into tasks of
-        # at most sweep._TASK_ROWS; one task of them all peaked at 18 MB
-        import tracemalloc
-
-        from equisum import sweep
-        from equisum.cli import main
-
-        out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--a-min", "2", "--a-max", "2", "--b-max", "60000", "--format", "csv", "--out", str(out)]
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[1:] == sweep.csv_rows(sweep.run_sweep(2, 2, b_max=60000).records).splitlines()
-        assert len(lines) == 59_999 > sweep._TASK_ROWS
-        assert peak < 3 * 2**20
