@@ -182,13 +182,11 @@ def _sweep_payload(sweep: Sweep, fmt: str) -> _Payload:
         yield CSV_HEADER + "\n"
         for chunk in sweep.chunks():
             yield csv_rows(chunk)
-        failing, _, conclusive = sweep.tally()
     else:  # JSON puts its summary before the records, so it holds them all
-        report = sweep.report()
-        failing, conclusive = report.failing_pairs, report.conclusive
-        yield emit_report_json(report)
-    print(f"sweep: {sweep.pairs} pairs, {len(failing)} failing, {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_OK if conclusive else EXIT_INDETERMINATE
+        yield emit_report_json(sweep.report())
+    elapsed = time.perf_counter() - t0
+    print(f"sweep: {sweep.pairs} pairs, {len(sweep.failing_pairs)} failing, {elapsed:.2f}s", file=sys.stderr)
+    return EXIT_OK if sweep.conclusive else EXIT_INDETERMINATE
 
 
 @functools.cache

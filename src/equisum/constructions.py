@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import FeasibilityVerdict, Parameters, VerdictKind, classify
-from .geometry import circumradius_sq, regular_simplex
+from .feasibility import FeasibilityVerdict, Parameters, VerdictKind, circumradius_sq, classify
+from .geometry import regular_simplex
 from .mixednorm import PointSet
 
 

@@ -32,11 +32,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .geometry import circumradius_sq
 from .realnum import DEFAULT_EPS_FLOOR, DEFAULT_EPS_START, Enclosure, Sign, enclose_sqrt, sqrt_bracket
 
 Margin = tuple[int, int, int]  # (lo, hi, D): the enclosure [lo/D, hi/D], D > 0
 _START, _FLOOR = DEFAULT_EPS_START.denominator, DEFAULT_EPS_FLOOR.denominator  # both numerators are 1
+
+
+def circumradius_sq(n: int) -> Fraction:
+    """Exact squared circumradius n/(2n+2) of a unit-side regular n-simplex.
+
+    At n = 0 (a single point) it is 0, which lets degenerate simplices share
+    the general feasibility formulas.
+    """
+    if n < 0:
+        raise ValueError(f"circumradius_sq: n must be >= 0, got {n}")
+    return Fraction(n, 2 * n + 2)
 
 
 class IndeterminateSignError(Exception):
@@ -256,15 +266,18 @@ def d2_pair_bound_holds(a: int) -> bool:
     """Exact check: d_{alpha-1}^2 + d_{beta-1}^2 <= (a-1)/(a+1) for all
     beta in [2, a-1] with alpha = a + 1 - beta.
 
-    Pure rational arithmetic; equality is attained at beta = (a+1)/2 when
-    a is odd, so the comparison must be <=.
+    d_{m-1}^2 = 1/2 - 1/(2m), so the sum is 1 - 1/(2 alpha) - 1/(2 beta) with
+    alpha + beta = a + 1.  1/x is convex, so the sum is largest where alpha
+    and beta are closest, at beta in {floor((a+1)/2), ceil((a+1)/2)}, and only
+    those beta in [2, a-1] are checked.  Pure rational arithmetic; equality is
+    attained at beta = (a+1)/2 when a is odd, so the comparison must be <=.
     """
     if a < 2:
         raise ValueError(f"d2_pair_bound_holds: a must be >= 2, got {a}")
     bound = Fraction(a - 1, a + 1)
     return all(
         circumradius_sq(a - beta) + circumradius_sq(beta - 1) <= bound
-        for beta in range(2, a)
+        for beta in {(a + 1) // 2, a // 2 + 1} if 2 <= beta < a
     )
 
 

@@ -2,28 +2,18 @@
 
 Coordinates are binary64 numpy arrays; exactness is not needed here because
 every downstream consumer checks distances against tolerances, and the
-feasibility decisions never read these coordinates.  The one exact quantity
-is the squared circumradius, which feeds the certified arithmetic.
+feasibility decisions never read these coordinates.  The one exact quantity,
+the squared circumradius, is defined with the certified arithmetic it feeds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-
-def circumradius_sq(n: int) -> Fraction:
-    """Exact squared circumradius n/(2n+2) of a unit-side regular n-simplex.
-
-    At n = 0 (a single point) it is 0, which lets degenerate simplices share
-    the general feasibility formulas.
-    """
-    if n < 0:
-        raise ValueError(f"circumradius_sq: n must be >= 0, got {n}")
-    return Fraction(n, 2 * n + 2)
+from .feasibility import circumradius_sq  # noqa: F401  (re-exported)
 
 
 def regular_simplex(m: int, side: float = 1.0, ambient_dim: int | None = None) -> np.ndarray:

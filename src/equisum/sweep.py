@@ -2,27 +2,28 @@
 
 Every pair is an independent pure computation.  A `Sweep` checks, counts
 and splits a range; one row builder, `_rows`, makes the records of a
-contiguous range of b for one a, and the serial scan and the process pool
-both map it over one task list in input order, so the emitted artifacts are
-byte-identical regardless of worker count.  Pairs at or beyond the threshold
-b >= a^2 + a are covered by the certified lemma rather than re-decided; the
-lemma certificate itself is spot-checked once per a.
+contiguous range of b for one a, and `Sweep.chunks` maps it over one task
+list in input order, serially or through a process pool, so the emitted
+artifacts are byte-identical regardless of worker count.  Pairs at or beyond
+the threshold b >= a^2 + a are covered by the certified lemma rather than
+re-decided; the lemma certificate itself is spot-checked once per a.
 
 A record is a `SweepRecord`, a NamedTuple row.  A report is emitted as CSV
 or JSON, one record per pair with its fields in declaration order; nothing
 in the package reads a report back.  `Sweep.chunks` yields each task's
-records as they are made and `csv_rows` renders one chunk, so CSV can be
-written task by task in O(a^2) memory, one task of at most a^2 - 1 rows and
-never more than _TASK_ROWS (`equisum sweep --format csv` does).  `run_sweep`
-and JSON, whose summary comes before its records, hold every record.  A
-pair's margin is rendered from the integers (lo, hi, D) of the verdict
-`check_inequality` returns: each endpoint lo/D, hi/D is divided out,
-unreduced, to MARGIN_DIGITS significant digits.  `check` renders the same
-way, through `margin_strings`.
+records as they are made and tallies them, and `csv_rows` renders one
+chunk, so CSV is written task by task in O(a^2) memory, one task of at most
+a^2 - 1 rows and never more than _TASK_ROWS (`equisum sweep --format csv`).
+`run_sweep` and JSON, whose summary comes before its records, hold every
+record.  A pair's margin is rendered from the integers (lo, hi, D) of the
+verdict `check_inequality` returns: each endpoint lo/D, hi/D is divided
+out, unreduced, to MARGIN_DIGITS significant digits.  `check` renders the
+same way, through `margin_strings`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +46,9 @@ MAX_SWEEP_RECORDS = 400_000
 # rows of one task, so a CSV sweep holds at most this many records at once
 # even when --b-max makes one a's range of b far longer than a^2
 _TASK_ROWS = 4096
+# tasks submitted to each worker at once, so a pool feeding a slow reader
+# holds at most this many finished tasks per worker
+_TASKS_PER_WORKER = 4
 
 
 def margin_strings(margin: Margin) -> tuple[str, str]:
@@ -121,10 +125,10 @@ class Sweep:
     """One sweep: its range, checked, counted and split into tasks when it is
     made, and the tally of its verdicts.
 
-    `chunks` yields each task's records in input order and tallies them as
-    they pass, so a caller that writes each chunk and drops it holds one
-    task's records at a time.  `tally` reads the tally once `chunks` is
-    exhausted; `report` holds every record.
+    `chunks` yields each task's records in input order, so a caller that
+    writes each chunk and drops it holds one task's records at a time.  Once
+    the last chunk has passed, `failing_pairs`, `lemma_certified` and
+    `conclusive` hold the tally; `report` holds every record.
     """
 
     def __init__(self, a_min: int, a_max: int, b_max: int | None = None, jobs: int = 1) -> None:
@@ -162,34 +166,26 @@ class Sweep:
 
     def chunks(self) -> Iterator[list[SweepRecord]]:
         """The records of each task, in input order, tallied as they pass."""
-        self._failing: list[tuple[int, int]] = []
-        self._undecided = False
-        if self._workers == 1:
-            yield from map(self._tallied, map(_rows, self._tasks))
-        else:
-            with ProcessPoolExecutor(max_workers=self._workers) as pool:
-                # taken one task at a time, in input order; a consumer that
-                # stops early closes pool.map, which cancels the tasks not begun
-                yield from map(self._tallied, pool.map(_rows, self._tasks))
-
-    def _tallied(self, rows: list[SweepRecord]) -> list[SweepRecord]:
         fails, undecided = VerdictKind.INEQUALITY_FAILS.value, VerdictKind.INDETERMINATE.value
-        self._failing += [(r.a, r.b) for r in rows if r.verdict == fails]
-        self._undecided = self._undecided or any(r.verdict == undecided for r in rows)
-        return rows
-
-    def tally(self) -> tuple[list[tuple[int, int]], list[int], bool]:
-        """Once `chunks` is exhausted: the failing pairs, the a whose lemma
-        certificate holds, and whether every verdict is decided and every a
-        that relies on the lemma certified."""
-        certified = [a for a in self._lemma_relied if lemma_certificate(a)]
-        return sorted(self._failing), certified, not self._undecided and certified == self._lemma_relied
+        failing, decided = [], True
+        window = _TASKS_PER_WORKER * self._workers
+        with ProcessPoolExecutor(self._workers) if self._workers > 1 else contextlib.nullcontext() as pool:
+            mapper = pool.map if pool else map
+            # one window of tasks in flight at a time, in input order; a consumer
+            # that stops early closes pool.map, which cancels the tasks not begun
+            for start in range(0, len(self._tasks), window):
+                for rows in mapper(_rows, self._tasks[start : start + window]):
+                    failing += [(r.a, r.b) for r in rows if r.verdict == fails]
+                    decided = decided and all(r.verdict != undecided for r in rows)
+                    yield rows
+        self.failing_pairs = sorted(failing)
+        self.lemma_certified = [a for a in self._lemma_relied if lemma_certificate(a)]
+        self.conclusive = decided and self.lemma_certified == self._lemma_relied
 
     def report(self) -> SweepReport:
         """The sweep with every record held."""
         records = [row for chunk in self.chunks() for row in chunk]
-        failing, certified, conclusive = self.tally()
-        return SweepReport(records, failing, self.config, certified, conclusive)
+        return SweepReport(records, self.failing_pairs, self.config, self.lemma_certified, self.conclusive)
 
 
 def run_sweep(

@@ -195,6 +195,16 @@ class TestLemma:
     def test_d2_bound_over_range(self):
         assert all(d2_pair_bound_holds(a) for a in range(2, 101))
 
+    def test_d2_bound_middle_beta_is_the_maximum(self):
+        # the reference: the loop over every beta in [2, a-1]; the sum is
+        # 1 - 1/(2 alpha) - 1/(2 beta), so no beta exceeds the middle one
+        for a in range(2, 400):
+            bound = Fraction(a - 1, a + 1)
+            sums = [circumradius_sq(a - beta) + circumradius_sq(beta - 1) for beta in range(2, a)]
+            assert d2_pair_bound_holds(a) is all(s <= bound for s in sums)
+            if sums:
+                assert max(sums) == circumradius_sq(a - (a + 1) // 2) + circumradius_sq((a + 1) // 2 - 1)
+
 
 class TestProofStepInequalities:
     def test_f_decreasing_prefix(self):

@@ -327,6 +327,41 @@ class _InlinePool:
         return list(map(fn, *iterables))
 
 
+class _WindowPool(_InlinePool):
+    """An inline pool that records the number of tasks of each map call and
+    runs them lazily, as the consumer takes them."""
+
+    lengths: list[int] = []
+
+    def map(self, fn, *iterables, chunksize=1):
+        tasks = list(iterables[0])
+        _WindowPool.lengths.append(len(tasks))
+        return map(fn, tasks)
+
+
+class TestPoolWindow:
+    # a in [2, 30] is 29 tasks, one per a; two workers take at most 8 at once
+    def test_each_map_call_takes_at_most_four_tasks_per_worker(self, monkeypatch):
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _WindowPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        _WindowPool.lengths.clear()
+        _InlinePool.max_workers.clear()
+        serial = sweep.emit_report_csv(sweep.run_sweep(2, 30))
+        assert _InlinePool.max_workers == []  # the serial path starts no pool
+        assert sweep.emit_report_csv(sweep.run_sweep(2, 30, jobs=2)) == serial
+        assert len(_WindowPool.lengths) > 1 and max(_WindowPool.lengths) <= 4 * 2
+        assert sum(_WindowPool.lengths) == 29
+
+    def test_consumer_that_stops_submits_no_more_tasks(self, monkeypatch):
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _WindowPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        _WindowPool.lengths.clear()
+        chunks = sweep.Sweep(2, 30, jobs=2).chunks()
+        assert next(chunks)[0][:2] == (2, 3)
+        chunks.close()
+        assert len(_WindowPool.lengths) == 1 and _WindowPool.lengths[0] <= 4 * 2
+
+
 class TestJobsBound:
     def test_huge_jobs_exits_64_before_any_pool(self, monkeypatch, capsys):
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", _NoPool)

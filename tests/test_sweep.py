@@ -1,9 +1,13 @@
 """Tests for the boundary sweep and its report formats."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import equisum
 from equisum.feasibility import VerdictKind, check_inequality, derive_parameters, lemma_applies
 from equisum.sweep import (
     CSV_HEADER,
@@ -173,3 +177,18 @@ class TestReports:
         report = run_sweep(2, 4)
         pairs = [(r.a, r.b) for r in report.records]
         assert pairs == sorted(pairs)
+
+
+def test_decision_layer_imports_no_numpy():
+    # sweep, feasibility and realnum run without numpy; the package __init__,
+    # which imports the constructions, is bypassed by a bare package
+    code = (
+        "import sys, types\n"
+        "sys.modules['numpy'] = None\n"
+        "package = types.ModuleType('equisum')\n"
+        f"package.__path__ = [{str(Path(equisum.__file__).parent)!r}]\n"
+        "sys.modules['equisum'] = package\n"
+        "import equisum.sweep\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
