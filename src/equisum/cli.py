@@ -11,11 +11,11 @@ than there are CPUs or than half its pairs.  A sweep makes at most
 MAX_SWEEP_RECORDS = 400,000 records (a-max <= 105 without --b-max); the
 sweep counts them as it builds the range and raises ValueError past the
 bound, which exits 64 before any pair is decided or --out is opened.
-`--format csv` is written task by task, a range of b for one a of at most
-a^2 - 1 rows (and never more than 4,096), so it holds O(a^2) records at
-once; a sweep stopped partway leaves the rows already written in --out.
-JSON puts its summary before the records, so it holds every record until
-it is emitted.
+Each task, a range of b for one a of at most a^2 - 1 rows (and never more
+than 4,096), is rendered as soon as it is made, so a sweep holds O(a^2)
+records at once.  CSV is written task by task, and a sweep stopped partway
+leaves the rows already written in --out; JSON puts its summary before the
+records, so it holds their text, not the records, until the last task.
 `construct` takes a + b of at most 1000: the set has a + b + 1 points of
 a + b coordinates, and at the bound construct then verify took 0.12 s and
 1.9 s with peak RSS of 79 MB and 102 MB (a = 1, 2 CPUs, each in a fresh
@@ -47,7 +47,7 @@ from .mixednorm import (
     pointset_to_json,
     verify_equilateral,
 )
-from .sweep import CSV_HEADER, MAX_SWEEP_RECORDS, Sweep, csv_rows, emit_report_json, margin_strings  # noqa: F401
+from .sweep import MAX_SWEEP_RECORDS, Sweep, emit, margin_strings  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -178,12 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> _Payload:
 
 def _sweep_payload(sweep: Sweep, fmt: str) -> _Payload:
     t0 = time.perf_counter()
-    if fmt == "csv":  # each task's rows as they come: one task's records are held
-        yield CSV_HEADER + "\n"
-        for chunk in sweep.chunks():
-            yield csv_rows(chunk)
-    else:  # JSON puts its summary before the records, so it holds them all
-        yield emit_report_json(sweep.report())
+    yield from emit(sweep, sweep.chunks(), fmt)
     elapsed = time.perf_counter() - t0
     print(f"sweep: {sweep.pairs} pairs, {len(sweep.failing_pairs)} failing, {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if sweep.conclusive else EXIT_INDETERMINATE

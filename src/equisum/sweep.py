@@ -11,14 +11,14 @@ re-decided; the lemma certificate itself is spot-checked once per a.
 A record is a `SweepRecord`, a NamedTuple row.  A report is emitted as CSV
 or JSON, one record per pair with its fields in declaration order; nothing
 in the package reads a report back.  `Sweep.chunks` yields each task's
-records as they are made and tallies them, and `csv_rows` renders one
-chunk, so CSV is written task by task in O(a^2) memory, one task of at most
-a^2 - 1 rows and never more than _TASK_ROWS (`equisum sweep --format csv`).
-`run_sweep` and JSON, whose summary comes before its records, hold every
-record.  A pair's margin is rendered from the integers (lo, hi, D) of the
-verdict `check_inequality` returns: each endpoint lo/D, hi/D is divided
-out, unreduced, to MARGIN_DIGITS significant digits.  `check` renders the
-same way, through `margin_strings`.
+records as they are made and tallies them, a task of at most a^2 - 1 rows
+and never more than _TASK_ROWS, and `emit` renders each chunk through
+`csv_rows` or `json_rows`.  CSV is written chunk by chunk; JSON, whose
+summary comes before its records, holds each chunk's text until the tally
+is set.  `run_sweep` holds every record.  A pair's margin is rendered from
+the integers (lo, hi, D) of the verdict `check_inequality` returns: each
+endpoint lo/D, hi/D is divided out, unreduced, to MARGIN_DIGITS significant
+digits.  `check` renders the same way, through `margin_strings`.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
 _MARGIN_CONTEXT = Context(prec=MARGIN_DIGITS)
-# records of one sweep.  JSON holds them all until it is emitted: a cold
-# sweep of a in [2, 90] (246,975 records) peaked at 642 MB emitting JSON,
-# about 2.5 KB per record, so the bound is about 1 GB as JSON.  CSV is written
-# one task at a time, so its memory does not grow with the count.  At the
-# lemma line (b_max unset) the bound admits a_max <= 105.
+# records of one sweep, so a JSON sweep, which holds its records' text (277
+# bytes each) until the tally is set, stays near 150 MB: at a in [2, 105]
+# (391,300 records) it wrote 108.6 MB and peaked at 140 MB RSS.  CSV is written
+# one task at a time.  Without b_max the bound admits a_max <= 105.
 MAX_SWEEP_RECORDS = 400_000
 # rows of one task, so a CSV sweep holds at most this many records at once
 # even when --b-max makes one a's range of b far longer than a^2
@@ -128,7 +127,7 @@ class Sweep:
     `chunks` yields each task's records in input order, so a caller that
     writes each chunk and drops it holds one task's records at a time.  Once
     the last chunk has passed, `failing_pairs`, `lemma_certified` and
-    `conclusive` hold the tally; `report` holds every record.
+    `conclusive` hold the tally.
     """
 
     def __init__(self, a_min: int, a_max: int, b_max: int | None = None, jobs: int = 1) -> None:
@@ -182,11 +181,6 @@ class Sweep:
         self.lemma_certified = [a for a in self._lemma_relied if lemma_certificate(a)]
         self.conclusive = decided and self.lemma_certified == self._lemma_relied
 
-    def report(self) -> SweepReport:
-        """The sweep with every record held."""
-        records = [row for chunk in self.chunks() for row in chunk]
-        return SweepReport(records, self.failing_pairs, self.config, self.lemma_certified, self.conclusive)
-
 
 def run_sweep(
     a_min: int,
@@ -204,7 +198,9 @@ def run_sweep(
     than the CPU count or half the number of pairs.  Records come back in
     input order, so worker count never changes the report.
     """
-    return Sweep(a_min, a_max, b_max, jobs).report()
+    sweep = Sweep(a_min, a_max, b_max, jobs)
+    records = [row for chunk in sweep.chunks() for row in chunk]
+    return SweepReport(records, sweep.failing_pairs, sweep.config, sweep.lemma_certified, sweep.conclusive)
 
 
 CSV_HEADER = "a,b,c,alpha,beta,verdict,margin_lo,margin_hi,lemma_covered"
@@ -218,16 +214,41 @@ def csv_rows(records: Iterable[SweepRecord]) -> str:
     ])
 
 
+def json_rows(records: Iterable[SweepRecord]) -> str:
+    """The objects of records as `json.dumps(..., indent=2)` writes them in a report's
+    "records" list, each after its separating comma.  Every field is an int, None, a bool
+    or an ASCII string made of a verdict name or decimal digits, so none needs escaping."""
+    quote = '"{}"'.format
+    return "".join([
+        f',\n    {{\n      "a": {a},\n      "b": {b},\n      "c": {c},\n      "alpha": {alpha},\n      "beta": {beta},\n'
+        f'      "verdict": "{verdict}",\n      "margin_lo": {"null" if lo is None else quote(lo)},\n'
+        f'      "margin_hi": {"null" if hi is None else quote(hi)},\n'
+        f'      "lemma_covered": {"true" if covered else "false"}\n    }}'
+        for a, b, c, alpha, beta, verdict, lo, hi, covered in records
+    ])
+
+
+def emit(summary: Sweep | SweepReport, chunks: Iterable[list[SweepRecord]], fmt: str) -> Iterator[str]:
+    """The text of a sweep report in fmt, "csv" or "json", one piece at a time.  The
+    tally of summary is read once every chunk has passed: CSV writes each chunk as it
+    comes, and JSON, whose summary comes first, holds each chunk's text until then."""
+    if fmt == "csv":
+        yield CSV_HEADER + "\n"
+        yield from map(csv_rows, chunks)
+        return
+    held = [json_rows(chunk) for chunk in chunks if chunk]
+    head = {"config": summary.config, "lemma_certified": summary.lemma_certified, "conclusive": summary.conclusive}
+    text = json.dumps({**head, "failing_pairs": [list(p) for p in summary.failing_pairs], "records": []}, indent=2)
+    if held:  # text ends in '[]\n}': open the list there, and drop the first record's comma
+        yield text[:-3] + held[0][1:]
+        yield from held[1:]
+        text = "\n  ]\n}"
+    yield text + "\n"
+
+
 def emit_report_csv(report: SweepReport) -> str:
-    return CSV_HEADER + "\n" + csv_rows(report.records)
+    return "".join(emit(report, [report.records], "csv"))
 
 
 def emit_report_json(report: SweepReport) -> str:
-    obj = {
-        "config": report.config,
-        "lemma_certified": report.lemma_certified,
-        "conclusive": report.conclusive,
-        "failing_pairs": [list(p) for p in report.failing_pairs],
-        "records": [r._asdict() for r in report.records],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    return "".join(emit(report, [report.records], "json"))

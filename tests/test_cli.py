@@ -216,33 +216,41 @@ class TestOutFile:
 
 
 class TestStreamedSweep:
-    """`sweep --format csv` writes each task's rows as they are made."""
+    """`sweep` renders each task's rows as they are made: CSV writes them at
+    once, JSON holds their text until its summary is written."""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "argv, records",
         [
-            # 22,100 records; holding them all peaked at 14 MB
+            # 22,100 records; holding them all peaked at 14 MB as CSV, and
+            # at 49 MiB for 5.7 MiB of JSON
             (["--a-max", "40"], sum(a * a - 1 for a in range(2, 41))),
             # one a with --b-max far past a^2; as one task it peaked at 18 MB
+            # as CSV, and holding every record at 114 MiB for 11.8 MiB of JSON
             (["--a-max", "2", "--b-max", "60000"], 59_998),
         ],
         ids=["a-max-40", "long-b-range"],
     )
-    def test_csv_peak_memory_is_one_task(self, tmp_path, argv, records):
+    def test_peak_memory_follows_the_output(self, tmp_path, argv, records, fmt):
         import tracemalloc
 
         from equisum.cli import main
 
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / f"sweep.{fmt}"
         tracemalloc.start()
         try:
-            code = main(["sweep", "--a-min", "2", *argv, "--format", "csv", "--out", str(out)])
+            code = main(["sweep", "--a-min", "2", *argv, "--format", fmt, "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert out.read_text().count("\n") == 1 + records
-        assert peak < 3 * 2**20
+        if fmt == "csv":  # one task's rows at a time
+            assert out.read_text().count("\n") == 1 + records
+            assert peak < 3 * 2**20
+        else:  # the text of every record, and one task's rows
+            assert len(json.loads(out.read_text())["records"]) == records
+            assert peak < out.stat().st_size + 3 * 2**20
 
     def test_long_b_range_split_into_tasks_gives_the_same_rows(self, capsys):
         from equisum import sweep

@@ -5,6 +5,8 @@ The sweep CSV over a in [2, 60], the sweep JSON over a in [2, 20] and
 the implementation that decided through `Fraction` enclosures and rendered
 the reduced endpoints.  The integer decision and the rendering of the
 unreduced integers must give the same bytes, with one worker process or two.
+The sweep JSON over a in [2, 60] was captured when the report went through
+`json.dumps` as one object; the streamed renderer must give the same bytes.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from equisum.sweep import emit_report_csv, run_sweep
 
 SWEEP_60_CSV_SHA256 = "4de9dbad9b7815f5c6e09234471eafcccb5d1fbc75d68ca017e3ef5d4ed4c3a1"
 SWEEP_20_JSON_SHA256 = "6b4fef9de9f9d9b0b6011a1845f84849654e6d84b7ce766549f24e846a2ec23a"
+SWEEP_60_JSON_SHA256 = "bbe431d53528c37107fbe9ea490eb50d1ad1067cf590b6380d7af0a498378b51"
 
 CHECK_JSON = {
     (28, 40): """\
@@ -117,6 +120,12 @@ def test_sweep_20_json_digest(tmp_path):
     argv = ["sweep", "--a-min", "2", "--a-max", "20", "--format", "json", "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_20_JSON_SHA256
+
+
+def test_sweep_60_json_digest(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert cli.main(["sweep", "--a-min", "2", "--a-max", "60", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_60_JSON_SHA256
 
 
 @pytest.mark.parametrize("a, b", list(CHECK_JSON))

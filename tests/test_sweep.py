@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import equisum
+from equisum import cli
 from equisum.feasibility import VerdictKind, check_inequality, derive_parameters, lemma_applies
 from equisum.sweep import (
     CSV_HEADER,
@@ -41,6 +42,19 @@ def reference_record(a: int, b: int) -> dict:
         a=a, b=b, c=p.c, alpha=p.alpha, beta=p.beta, verdict=kind.value,
         margin_lo=lo, margin_hi=hi, lemma_covered=covered,
     )
+
+
+def reference_json(report: SweepReport) -> str:
+    """The report as `json.dumps(..., indent=2)` writes it as one object, with
+    one `_asdict()` dict per record: the builder `json_rows` replaced."""
+    obj = {
+        "config": report.config,
+        "lemma_certified": report.lemma_certified,
+        "conclusive": report.conclusive,
+        "failing_pairs": [list(p) for p in report.failing_pairs],
+        "records": [r._asdict() for r in report.records],
+    }
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def assert_records_match_reference(records) -> None:
@@ -165,6 +179,27 @@ class TestReports:
             "records": [r._asdict() for r in report.records],
         }
         assert [SweepRecord(**r) for r in obj["records"]] == report.records
+
+    @pytest.mark.parametrize(
+        "a_min, a_max, b_max, jobs",
+        [
+            (2, 2, 2, 1),  # no record: "records": []
+            (2, 2, 3, 1),
+            (28, 28, None, 1),  # a failing pair, and margins on most records
+            (3, 6, 60, 1),  # lemma-covered records with null margins
+            (5, 5, 10_000, 1),  # more than _TASK_ROWS rows: a task boundary between two records
+            (2, 12, None, 2),
+        ],
+        ids=["empty", "one-record", "a-28", "lemma-covered", "over-task-rows", "two-workers"],
+    )
+    def test_json_matches_the_encoder(self, capsys, a_min, a_max, b_max, jobs):
+        report = run_sweep(a_min, a_max, b_max, jobs)
+        expected = reference_json(report)
+        assert bool(report.records) != expected.endswith('"records": []\n}\n')
+        assert emit_report_json(report) == expected
+        argv = ["sweep", "--a-min", str(a_min), "--a-max", str(a_max), "--jobs", str(jobs)]
+        assert cli.main(argv + (["--b-max", str(b_max)] if b_max else [])) == 0
+        assert capsys.readouterr().out == expected
 
     def test_json_mirrors_record_field_names(self):
         report = run_sweep(2, 2, b_max=4)
