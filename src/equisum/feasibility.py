@@ -20,9 +20,10 @@ proof-step checks) evaluates its margin as integers (lo, hi, D) over one
 common denominator and resolves its sign in one integer loop, `_refine`,
 against the fixed precision floor `realnum.DEFAULT_EPS_FLOOR`.
 `check_inequality` is the one entry for the inequality: its verdict carries
-the deciding margin as those integers, and the sweep, `check` and
-`construct` all read it.  No decision builds an `Enclosure`, and none a
-`Fraction` beyond the radicand of each cached square root.
+the deciding margin as those integers.  `classify`, as the sweep, decides a
+pair past the lemma line by `lemma_certificate`, with no margin.  No decision
+builds an `Enclosure`, and none a `Fraction` beyond the radicand of each
+cached square root.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ class FeasibilityVerdict(NamedTuple):
 
     `margin` is the integer triple (lo, hi, D), D > 0, on which the
     decision was made: [lo/D, hi/D] encloses g(c)^2 minus the left-hand
-    side.  INEQUALITY_HOLDS is only issued on a certified strictly positive
-    margin (a certified zero would surface as INDETERMINATE, never as a
-    guess).
+    side.  INEQUALITY_HOLDS is issued on a certified strictly positive margin
+    (a certified zero would surface as INDETERMINATE, never as a guess) or,
+    with no margin, on a pair past the lemma line that the lemma certifies.
     """
 
     kind: VerdictKind
@@ -238,8 +239,9 @@ def classify(a: int, b: int) -> FeasibilityVerdict:
 
     a = 1 or b = 1 -> PROP1; a = b -> PROP2; a > b -> SWAP_AND_RECURSE
     (the space is isometric to the swapped one, so callers rebuild for
-    (b, a)); beta in {0, 1, a} -> BETA_TRIVIAL; otherwise the certified
-    inequality decides.
+    (b, a)); beta in {0, 1, a} -> BETA_TRIVIAL; b >= a^2 + a with the lemma
+    certified -> INEQUALITY_HOLDS with no margin, as in the sweep; otherwise
+    the certified inequality decides.
     """
     if a < 1 or b < 1:
         raise ValueError(f"classify requires a, b >= 1, got a={a} b={b}")
@@ -252,6 +254,8 @@ def classify(a: int, b: int) -> FeasibilityVerdict:
     p = derive_parameters(a, b)
     if p.beta in (0, 1, a):
         return FeasibilityVerdict(kind=VerdictKind.BETA_TRIVIAL, params=p)
+    if lemma_applies(a, b) and lemma_certificate(a):
+        return FeasibilityVerdict(VerdictKind.INEQUALITY_HOLDS, params=p)
     return check_inequality(p)
 
 
@@ -322,11 +326,12 @@ def lemma_certificate(a: int) -> bool:
 
     (i)  ((a-1)/(a+1)) f(a-1)^2 < g(a)^2, via enclosures;
     (ii) the exact d^2 pair bound of `d2_pair_bound_holds`.
-    Raises IndeterminateSignError if (i) reaches the precision floor.
+    False, not a raise, when (i) is undecided at the precision floor (from
+    about a = 9.8e19).
     """
     if a < 2:
         raise ValueError(f"lemma_certificate: a must be >= 2, got {a}")
-    return _certify(_lemma_margin, a, 8) and d2_pair_bound_holds(a)
+    return _refine(_lemma_margin, a, 8 * _START)[0] is Sign.POSITIVE and d2_pair_bound_holds(a)
 
 
 def certified_f_decreasing(n: int) -> bool:

@@ -27,7 +27,6 @@ import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -79,15 +78,6 @@ class SweepRecord(NamedTuple):
     lemma_covered: bool
 
 
-@dataclass
-class SweepReport:
-    records: list[SweepRecord]
-    failing_pairs: list[tuple[int, int]]
-    config: dict
-    lemma_certified: list[int]
-    conclusive: bool
-
-
 def _rows(task: tuple[int, int, int]) -> list[SweepRecord]:
     """The records of the pairs (a, b) of a task (a, b_lo, b_hi), a < b_lo <= b
     <= b_hi.  c, alpha and beta are derived inline and built into `Parameters`
@@ -127,7 +117,7 @@ class Sweep:
     `chunks` yields each task's records in input order, so a caller that
     writes each chunk and drops it holds one task's records at a time.  Once
     the last chunk has passed, `failing_pairs`, `lemma_certified` and
-    `conclusive` hold the tally.
+    `conclusive` hold the tally; `run_sweep` also sets `records`.
     """
 
     def __init__(self, a_min: int, a_max: int, b_max: int | None = None, jobs: int = 1) -> None:
@@ -187,7 +177,7 @@ def run_sweep(
     a_max: int,
     b_max: int | None = None,
     jobs: int = 1,
-) -> SweepReport:
+) -> Sweep:
     """Scan all pairs with a in [a_min, a_max] and a < b <= B.
 
     B is a^2 + a - 1 when b_max is None (everything beyond is covered by the
@@ -199,8 +189,8 @@ def run_sweep(
     input order, so worker count never changes the report.
     """
     sweep = Sweep(a_min, a_max, b_max, jobs)
-    records = [row for chunk in sweep.chunks() for row in chunk]
-    return SweepReport(records, sweep.failing_pairs, sweep.config, sweep.lemma_certified, sweep.conclusive)
+    sweep.records = [row for chunk in sweep.chunks() for row in chunk]
+    return sweep
 
 
 CSV_HEADER = "a,b,c,alpha,beta,verdict,margin_lo,margin_hi,lemma_covered"
@@ -228,7 +218,7 @@ def json_rows(records: Iterable[SweepRecord]) -> str:
     ])
 
 
-def emit(summary: Sweep | SweepReport, chunks: Iterable[list[SweepRecord]], fmt: str) -> Iterator[str]:
+def emit(summary: Sweep, chunks: Iterable[list[SweepRecord]], fmt: str) -> Iterator[str]:
     """The text of a sweep report in fmt, "csv" or "json", one piece at a time.  The
     tally of summary is read once every chunk has passed: CSV writes each chunk as it
     comes, and JSON, whose summary comes first, holds each chunk's text until then."""
@@ -246,9 +236,9 @@ def emit(summary: Sweep | SweepReport, chunks: Iterable[list[SweepRecord]], fmt:
     yield text + "\n"
 
 
-def emit_report_csv(report: SweepReport) -> str:
+def emit_report_csv(report: Sweep) -> str:
     return "".join(emit(report, [report.records], "csv"))
 
 
-def emit_report_json(report: SweepReport) -> str:
+def emit_report_json(report: Sweep) -> str:
     return "".join(emit(report, [report.records], "json"))

@@ -101,6 +101,32 @@ class TestCheck:
         obj = json.loads(run_cli("check", "--a", "5", "--b", "30").stdout)
         assert obj["lemma_covered"] is True
 
+    @pytest.mark.parametrize("b", [10**31, 10**32])
+    def test_far_past_the_lemma_line(self, b):
+        # answered from the lemma certificate, as the sweep answers it: the
+        # inequality's margin is below the 2^-200 floor there
+        proc = run_cli("check", "--a", "5", "--b", str(b))
+        assert proc.returncode == 0
+        obj = json.loads(proc.stdout)
+        assert (obj["kind"], obj["lemma_covered"]) == ("InequalityHolds", True)
+        assert "margin_lo" not in obj and "margin_hi" not in obj
+
+    def test_undecided_at_the_digit_limit_exits_3(self, capsys):
+        # 4,299 digits, under argparse's 4,300: neither the lemma nor the
+        # margin clears the floor, and that is the certified answer
+        import time
+
+        from equisum.cli import EXIT_INDETERMINATE, main
+
+        a, b = str(10**2149), str(10**4298 + 10**2149 + 12345)
+        t0 = time.perf_counter()
+        assert main(["check", "--a", a, "--b", b]) == EXIT_INDETERMINATE
+        assert time.perf_counter() - t0 < 2.0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["kind"], obj["lemma_covered"]) == ("Indeterminate", True)
+        proc = run_cli("check", "--a", a, "--b", b)
+        assert (proc.returncode, proc.stderr) == (3, "")
+
     def test_swap_resolution(self):
         obj = json.loads(run_cli("check", "--a", "7", "--b", "3").stdout)
         assert obj["kind"] == "SwapAndRecurse"

@@ -164,10 +164,15 @@ class TestClassify:
             (2, 5, VerdictKind.BETA_TRIVIAL),
             (5, 8, VerdictKind.INEQUALITY_HOLDS),
             (28, 40, VerdictKind.INEQUALITY_FAILS),
+            (5, 40, VerdictKind.INEQUALITY_HOLDS),
         ],
     )
     def test_dispatch(self, a, b, kind):
         assert classify(a, b).kind is kind
+
+    def test_lemma_covered_pair_has_no_margin(self):
+        # (5, 40) is past the lemma line: decided by the lemma, as in the sweep
+        assert classify(5, 40) == (VerdictKind.INEQUALITY_HOLDS, derive_parameters(5, 40), None)
 
     def test_beta_trivial_reports_beta(self):
         v = classify(2, 3)
@@ -186,6 +191,17 @@ class TestLemma:
     def test_certificate_small_and_large(self):
         assert lemma_certificate(2)
         assert lemma_certificate(28)
+
+    def test_certificate_undecided_at_the_floor_is_false(self):
+        # fact (i) cannot be separated from zero at 2^-200 from about a = 9.8e19
+        assert lemma_certificate(10**19) is True
+        assert lemma_certificate(10**20) is False
+
+    def test_uncertified_lemma_falls_back_to_the_inequality(self):
+        b = 10**40 + 10**20 + 7  # past the lemma line, beta = 7
+        assert lemma_applies(10**20, b)
+        v = classify(10**20, b)
+        assert v.kind is VerdictKind.INEQUALITY_HOLDS and v.margin is not None
 
     def test_d2_bound_equality_case(self):
         # a = 5, beta = 3 (alpha = 3): 1/3 + 1/3 equals (a-1)/(a+1) exactly

@@ -7,6 +7,8 @@ the reduced endpoints.  The integer decision and the rendering of the
 unreduced integers must give the same bytes, with one worker process or two.
 The sweep JSON over a in [2, 60] was captured when the report went through
 `json.dumps` as one object; the streamed renderer must give the same bytes.
+`check` at (5, 40), past the lemma line, answers from the lemma as the sweep
+does, so it prints no margin.
 """
 
 import hashlib
@@ -97,6 +99,17 @@ CHECK_JSON = {
   "margin_lo": "0.000131838651064963366046926395141",
   "margin_hi": "0.000131922319490732876045781005654",
   "lemma_covered": false
+}
+""",
+    (5, 40): """\
+{
+  "a": 5,
+  "b": 40,
+  "kind": "InequalityHolds",
+  "c": 7,
+  "alpha": 2,
+  "beta": 4,
+  "lemma_covered": true
 }
 """,
 }

@@ -1,5 +1,6 @@
 """The sweep and `check` read one verdict: for the same pair, the sweep
-record and the `check` JSON give the same kind and the same margin strings."""
+record and the `check` JSON give the same kind and the same margin strings.
+Past the lemma line both answer from the lemma, with no margin."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ import pytest
 
 from equisum import cli
 from equisum.feasibility import derive_parameters
-from equisum.sweep import evaluate_pair
+from equisum.sweep import evaluate_pair, run_sweep
 
 FAILING = [(28, 40)] + [(29, b) for b in range(39, 45)] + [(30, b) for b in range(40, 48)]
 GOLDEN_CHECK = [(28, 40), (28, 41), (29, 39), (29, 44), (30, 47), (27, 39)]
@@ -61,3 +62,19 @@ def decided_pairs(draw):
 @given(pair=decided_pairs())
 def test_main_case_pairs(pair):
     assert_same_verdict(*pair)
+
+
+@pytest.mark.parametrize("a", range(2, 9))
+def test_check_equals_the_sweep_record_across_the_lemma_line(a):
+    # b up to 40 past a^2 + a: beta-trivial, decided and lemma-covered pairs
+    for rec in run_sweep(a, a, b_max=a * a + a + 40).records:
+        expected = {
+            "kind": rec.verdict, "c": rec.c, "alpha": rec.alpha, "beta": rec.beta,
+            "margin_lo": rec.margin_lo, "margin_hi": rec.margin_hi,
+        }
+        straight, swapped = check_json(rec.a, rec.b), check_json(rec.b, rec.a)
+        assert straight["lemma_covered"] is swapped["lemma_covered"] is rec.lemma_covered
+        for obj in (straight, swapped["resolved"]):
+            # a margin is printed exactly when the record has one
+            assert ("margin_lo" in obj, "margin_hi" in obj) == (rec.margin_lo is not None, rec.margin_hi is not None)
+            assert {k: obj.get(k) for k in expected} == expected, (rec.a, rec.b)
