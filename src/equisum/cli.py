@@ -11,6 +11,8 @@ than there are CPUs or than half its pairs.  A sweep makes at most
 MAX_SWEEP_RECORDS = 400,000 records (a-max <= 105 without --b-max); the
 sweep counts them as it builds the range and raises ValueError past the
 bound, which exits 64 before any pair is decided or --out is opened.
+A sweep opens its output before it decides the first pair, so an --out that
+cannot be written exits 73 having decided none.
 Each task, a range of b for one a of at most a^2 - 1 rows (and never more
 than 4,096), is rendered as soon as it is made, so a sweep holds O(a^2)
 records at once.  CSV is written task by task, and a sweep stopped partway
@@ -31,13 +33,13 @@ before any distance is computed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 import time
-from typing import Generator
 
 from .constructions import InfeasibleConstructionError, construct
 from .feasibility import FeasibilityVerdict, VerdictKind, classify, lemma_applies
@@ -88,37 +90,34 @@ def _verdict_jsonable(v: FeasibilityVerdict) -> dict:
     return obj
 
 
-# Each command checks its arguments and input, or raises, and returns a
-# generator that yields its payload in pieces and returns its exit code.  main
-# opens --out only once the command has returned, so an input that exits 64
-# or 65 never creates or truncates it, and writes each piece as it comes.
-_Payload = Generator[str, None, int]
+# Each command checks its arguments and input, or raises _UsageError or
+# _DataError, before it opens its output through _output, so an input that
+# exits 64 or 65 never creates or truncates --out.  It then writes its payload
+# and returns its exit code; an OSError from opening or writing exits 73.
+def _output(args: argparse.Namespace):
+    """stdout, or --out opened for writing; a context manager either way, and
+    only --out is closed at its end."""
+    return contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
 
 
-def _one_piece(text: str, code: int) -> _Payload:
-    """A payload of one piece."""
-    yield text
-    return code
-
-
-def cmd_construct(args: argparse.Namespace) -> _Payload:
+def cmd_construct(args: argparse.Namespace) -> int:
     if args.a < 1 or args.b < 1:
         raise _UsageError("construct: --a and --b must be >= 1")
     if args.a + args.b > MAX_CONSTRUCT_DIM:
         raise _UsageError(f"construct: --a plus --b must be at most {MAX_CONSTRUCT_DIM}")
     try:
-        result = construct(args.a, args.b)
+        text, code = pointset_to_json(construct(args.a, args.b).point_set), EXIT_OK
     except InfeasibleConstructionError as exc:
         body = {"error": "InfeasibleConstruction", "a": args.a, "b": args.b}
         body["verdict"] = _verdict_jsonable(exc.verdict)
         text = json.dumps(body, indent=2) + "\n"
-        if exc.verdict.kind is VerdictKind.INDETERMINATE:
-            return _one_piece(text, EXIT_INDETERMINATE)
-        return _one_piece(text, EXIT_INFEASIBLE)
-    return _one_piece(pointset_to_json(result.point_set), EXIT_OK)
+        code = EXIT_INDETERMINATE if exc.verdict.kind is VerdictKind.INDETERMINATE else EXIT_INFEASIBLE
+    with _output(args) as fh:
+        fh.write(text)
+    return code
 
 
-def cmd_verify(args: argparse.Namespace) -> _Payload:
+def cmd_verify(args: argparse.Namespace) -> int:
     if not 0 < args.rel_tol < math.inf:
         raise _UsageError("verify: --rel-tol must be positive and finite")
     try:
@@ -148,10 +147,12 @@ def cmd_verify(args: argparse.Namespace) -> _Payload:
         "worst_pair": list(report.worst_pair) if report.worst_pair else None,
         "pass": report.passed,
     }
-    return _one_piece(json.dumps(body, indent=2) + "\n", EXIT_OK if report.passed else EXIT_VERIFY_FAIL)
+    with _output(args) as fh:
+        fh.write(json.dumps(body, indent=2) + "\n")
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_check(args: argparse.Namespace) -> _Payload:
+def cmd_check(args: argparse.Namespace) -> int:
     if args.a < 1 or args.b < 1:
         raise _UsageError("check: --a and --b must be >= 1")
     verdict = classify(args.a, args.b)
@@ -163,22 +164,21 @@ def cmd_check(args: argparse.Namespace) -> _Payload:
         body["resolved"] = _verdict_jsonable(effective)
     lo, hi = sorted((args.a, args.b))
     body["lemma_covered"] = bool(hi > lo >= 2 and lemma_applies(lo, hi))
-    return _one_piece(json.dumps(body, indent=2) + "\n", EXIT_OK if effective.conclusive else EXIT_INDETERMINATE)
+    with _output(args) as fh:
+        fh.write(json.dumps(body, indent=2) + "\n")
+    return EXIT_OK if effective.conclusive else EXIT_INDETERMINATE
 
 
-def cmd_sweep(args: argparse.Namespace) -> _Payload:
+def cmd_sweep(args: argparse.Namespace) -> int:
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"sweep: --jobs must be in [1, {MAX_JOBS}]")
     try:  # the range and its record count are checked before any pair is decided
         sweep = Sweep(args.a_min, args.a_max, b_max=args.b_max, jobs=args.jobs)
     except ValueError as exc:
         raise _UsageError(f"sweep: {exc}") from None
-    return _sweep_payload(sweep, args.format)
-
-
-def _sweep_payload(sweep: Sweep, fmt: str) -> _Payload:
     t0 = time.perf_counter()
-    yield from emit(sweep, sweep.chunks(), fmt)
+    with _output(args) as fh:
+        fh.writelines(emit(sweep, sweep.chunks(), args.format))
     elapsed = time.perf_counter() - t0
     print(f"sweep: {sweep.pairs} pairs, {len(sweep.failing_pairs)} failing, {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if sweep.conclusive else EXIT_INDETERMINATE
@@ -220,32 +220,17 @@ def _build_parser() -> _Parser:
 _COMMANDS = {"construct": cmd_construct, "verify": cmd_verify, "check": cmd_check, "sweep": cmd_sweep}
 
 
-def _write(payload: _Payload, fh) -> int:
-    """Write each piece of a command's payload to fh; its exit code."""
-    while True:
-        try:
-            piece = next(payload)
-        except StopIteration as end:
-            return end.value
-        fh.write(piece)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"equisum: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _DataError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DATA
-    try:
-        if args.out is None:
-            return _write(payload, sys.stdout)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            return _write(payload, fh)
     except OSError as exc:
         print(f"equisum: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CANTCREAT

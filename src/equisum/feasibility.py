@@ -20,10 +20,11 @@ proof-step checks) evaluates its margin as integers (lo, hi, D) over one
 common denominator and resolves its sign in one integer loop, `_refine`,
 against the fixed precision floor `realnum.DEFAULT_EPS_FLOOR`.
 `check_inequality` is the one entry for the inequality: its verdict carries
-the deciding margin as those integers.  `classify`, as the sweep, decides a
-pair past the lemma line by `lemma_certificate`, with no margin.  No decision
-builds an `Enclosure`, and none a `Fraction` beyond the radicand of each
-cached square root.
+the deciding margin as those integers.  `decide` holds the rule for a pair
+b > a >= 2, for `classify` and the sweep alike: a pair past the lemma line is
+answered by `lemma_certificate`, with no margin, and the inequality decides
+the rest.  No decision builds an `Enclosure`, and none a `Fraction` beyond
+the radicand of each cached square root.
 """
 
 from __future__ import annotations
@@ -239,9 +240,7 @@ def classify(a: int, b: int) -> FeasibilityVerdict:
 
     a = 1 or b = 1 -> PROP1; a = b -> PROP2; a > b -> SWAP_AND_RECURSE
     (the space is isometric to the swapped one, so callers rebuild for
-    (b, a)); beta in {0, 1, a} -> BETA_TRIVIAL; b >= a^2 + a with the lemma
-    certified -> INEQUALITY_HOLDS with no margin, as in the sweep; otherwise
-    the certified inequality decides.
+    (b, a)); otherwise `decide` answers, as it does for the sweep.
     """
     if a < 1 or b < 1:
         raise ValueError(f"classify requires a, b >= 1, got a={a} b={b}")
@@ -251,11 +250,23 @@ def classify(a: int, b: int) -> FeasibilityVerdict:
         return FeasibilityVerdict(kind=VerdictKind.PROP2)
     if a > b:
         return FeasibilityVerdict(kind=VerdictKind.SWAP_AND_RECURSE)
-    p = derive_parameters(a, b)
-    if p.beta in (0, 1, a):
-        return FeasibilityVerdict(kind=VerdictKind.BETA_TRIVIAL, params=p)
-    if lemma_applies(a, b) and lemma_certificate(a):
-        return FeasibilityVerdict(VerdictKind.INEQUALITY_HOLDS, params=p)
+    return decide(derive_parameters(a, b))
+
+
+def decide(p: Parameters) -> FeasibilityVerdict:
+    """The verdict of a pair b > a >= 2 from its parameters p.
+
+    beta in {0, 1, a} -> BETA_TRIVIAL; b >= a^2 + a with the lemma certified
+    -> INEQUALITY_HOLDS with no margin; otherwise the certified inequality
+    decides, with its margin.
+    """
+    a, b, _, _, beta = p
+    # tuple.__new__ skips the Python frame of a NamedTuple's __new__; the
+    # sweep calls this once per pair
+    if beta <= 1 or beta == a:
+        return tuple.__new__(FeasibilityVerdict, (VerdictKind.BETA_TRIVIAL, p, None))
+    if b >= a * a + a and lemma_certificate(a):
+        return tuple.__new__(FeasibilityVerdict, (VerdictKind.INEQUALITY_HOLDS, p, None))
     return check_inequality(p)
 
 
@@ -321,8 +332,10 @@ def _apex_margin(c: int, m: int) -> Margin:
     return _squares_margin(_g_squared(c, m), ((1, 2, _f_squared(c - 1, m)),))
 
 
+@lru_cache(maxsize=None)
 def lemma_certificate(a: int) -> bool:
-    """Certify the two facts behind the b >= a^2 + a threshold.
+    """Certify the two facts behind the b >= a^2 + a threshold, once per a
+    in a process.
 
     (i)  ((a-1)/(a+1)) f(a-1)^2 < g(a)^2, via enclosures;
     (ii) the exact d^2 pair bound of `d2_pair_bound_holds`.

@@ -4,9 +4,10 @@ Every pair is an independent pure computation.  A `Sweep` checks, counts
 and splits a range; one row builder, `_rows`, makes the records of a
 contiguous range of b for one a, and `Sweep.chunks` maps it over one task
 list in input order, serially or through a process pool, so the emitted
-artifacts are byte-identical regardless of worker count.  Pairs at or beyond
-the threshold b >= a^2 + a are covered by the certified lemma rather than
-re-decided; the lemma certificate itself is spot-checked once per a.
+artifacts are byte-identical regardless of worker count.  Each pair is
+decided by `feasibility.decide`, the rule `check` and `construct` use too:
+pairs at or beyond the threshold b >= a^2 + a are answered by the lemma,
+whose certificate each process computes once per a, rather than re-decided.
 
 A record is a `SweepRecord`, a NamedTuple row.  A report is emitted as CSV
 or JSON, one record per pair with its fields in declaration order; nothing
@@ -31,7 +32,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .feasibility import Margin, Parameters, VerdictKind, check_inequality, lemma_certificate
+from .feasibility import Margin, Parameters, VerdictKind, decide, lemma_certificate
 from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
@@ -80,26 +81,19 @@ class SweepRecord(NamedTuple):
 
 def _rows(task: tuple[int, int, int]) -> list[SweepRecord]:
     """The records of the pairs (a, b) of a task (a, b_lo, b_hi), a < b_lo <= b
-    <= b_hi.  c, alpha and beta are derived inline and built into `Parameters`
-    only for pairs to decide."""
+    <= b_hi, each decided by `decide`.  c, alpha and beta are derived inline,
+    as `derive_parameters` derives them, without its check."""
     a, b_lo, b_hi = task
     new = tuple.__new__  # a NamedTuple without the Python frame of its __new__
-    n = a + 1
+    n, line = a + 1, a * a + a
     rows = []
     for b in range(b_lo, b_hi + 1):
         c, beta = 1 + b // n, b % n
-        covered = b >= a * n
-        lo = hi = None
-        if beta <= 1 or beta == a:
-            verdict = VerdictKind.BETA_TRIVIAL.value
-        elif covered:  # certified once per a by lemma_certificate
-            verdict = VerdictKind.INEQUALITY_HOLDS.value
-        else:
-            # a global looked up per call: a wrapper set on the module sees it
-            kind, _, margin = check_inequality(new(Parameters, (a, b, c, n - beta, beta)))
-            verdict = kind._value_  # not the value property, a Python-level call
-            lo, hi = margin_strings(margin)
-        rows.append(new(SweepRecord, (a, b, c, n - beta, beta, verdict, lo, hi, covered)))
+        alpha = n - beta
+        kind, _, margin = decide(new(Parameters, (a, b, c, alpha, beta)))
+        lo, hi = (None, None) if margin is None else margin_strings(margin)
+        # kind._value_, not the value property, a Python-level call
+        rows.append(new(SweepRecord, (a, b, c, alpha, beta, kind._value_, lo, hi, b >= line)))
     return rows
 
 
@@ -169,7 +163,7 @@ class Sweep:
                     yield rows
         self.failing_pairs = sorted(failing)
         self.lemma_certified = [a for a in self._lemma_relied if lemma_certificate(a)]
-        self.conclusive = decided and self.lemma_certified == self._lemma_relied
+        self.conclusive = decided
 
 
 def run_sweep(
@@ -236,9 +230,14 @@ def emit(summary: Sweep, chunks: Iterable[list[SweepRecord]], fmt: str) -> Itera
     yield text + "\n"
 
 
+def _slices(records: list[SweepRecord]) -> Iterator[list[SweepRecord]]:
+    """records in slices of at most _TASK_ROWS, so emit renders no more at once."""
+    return (records[i : i + _TASK_ROWS] for i in range(0, len(records), _TASK_ROWS))
+
+
 def emit_report_csv(report: Sweep) -> str:
-    return "".join(emit(report, [report.records], "csv"))
+    return "".join(emit(report, _slices(report.records), "csv"))
 
 
 def emit_report_json(report: Sweep) -> str:
-    return "".join(emit(report, [report.records], "json"))
+    return "".join(emit(report, _slices(report.records), "json"))

@@ -218,6 +218,35 @@ class TestUnwritableOut:
         assert len(lines) == 1
 
 
+class TestBadInputKeepsOut:
+    """An input that exits 64 or 65 neither truncates nor rewrites an
+    existing --out, and prints nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["construct", "--a", "0", "--b", "8"], 64),
+            (["verify", "--in", "{bad}"], 65),
+            (["verify", "--in", "{set}", "--rel-tol", "0"], 64),
+            (["check", "--a", "0", "--b", "8"], 64),
+            (["sweep", "--a-min", "1", "--a-max", "3"], 64),
+            (["sweep", "--a-min", "2", "--a-max", "3", "--jobs", "0"], 64),
+        ],
+        ids=["construct-a-0", "verify-malformed", "verify-rel-tol-0", "check-a-0", "sweep-a-min-1", "sweep-jobs-0"],
+    )
+    def test_existing_out_survives(self, tmp_path, capsys, argv, code):
+        from equisum.cli import main
+
+        bad, good, out = tmp_path / "bad.json", tmp_path / "two.json", tmp_path / "existing.out"
+        bad.write_text("{this is not json")
+        good.write_text(TWO_POINTS)
+        out.write_bytes(b"kept\n")
+        argv = [arg.format(bad=bad, set=good) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == code
+        assert out.read_bytes() == b"kept\n"
+        assert capsys.readouterr().out == ""
+
+
 class TestOutFile:
     def test_shorter_payload_leaves_only_the_new_bytes(self, tmp_path, capsys):
         from equisum.cli import main
@@ -317,7 +346,7 @@ class TestStreamedSweep:
         assert serial.count("\n") == 1 + sum(a * a - 1 for a in range(2, 13))
 
     def test_indeterminate_writes_every_row_and_exits_3(self, monkeypatch, capsys):
-        from equisum import sweep
+        from equisum import feasibility
         from equisum.cli import EXIT_INDETERMINATE, main
         from equisum.feasibility import FeasibilityVerdict, VerdictKind, check_inequality
 
@@ -327,7 +356,7 @@ class TestStreamedSweep:
         argv = ["sweep", "--a-min", "2", "--a-max", "8", "--format", "csv"]
         assert main(argv) == 0
         decided = capsys.readouterr().out.splitlines()
-        monkeypatch.setattr(sweep, "check_inequality", undecided)
+        monkeypatch.setattr(feasibility, "check_inequality", undecided)
         assert main(argv) == EXIT_INDETERMINATE
         out, err = capsys.readouterr()
         lines = out.splitlines()

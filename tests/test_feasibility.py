@@ -197,6 +197,16 @@ class TestLemma:
         assert lemma_certificate(10**19) is True
         assert lemma_certificate(10**20) is False
 
+    def test_certificate_computed_once_per_a(self):
+        # the main-case pairs with a + b <= 60 past the lemma line have a in
+        # [3, 6] (at a = 2 every beta is in {0, 1, a}); 45 of the pairs ask
+        lemma_certificate.cache_clear()
+        for a in range(1, 60):
+            for b in range(1, 61 - a):
+                classify(a, b)
+        info = lemma_certificate.cache_info()
+        assert (info.misses, info.hits + info.misses) == (4, 45)
+
     def test_uncertified_lemma_falls_back_to_the_inequality(self):
         b = 10**40 + 10**20 + 7  # past the lemma line, beta = 7
         assert lemma_applies(10**20, b)

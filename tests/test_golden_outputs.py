@@ -8,7 +8,9 @@ unreduced integers must give the same bytes, with one worker process or two.
 The sweep JSON over a in [2, 60] was captured when the report went through
 `json.dumps` as one object; the streamed renderer must give the same bytes.
 `check` at (5, 40), past the lemma line, answers from the lemma as the sweep
-does, so it prints no margin.
+does, so it prints no margin.  The sweep JSON over a in [2, 20] with b up to
+500 crosses the lemma line for every a (6,441 of its 9,291 records are
+covered), so it pins the covered rows, `lemma_certified` and `conclusive`.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from equisum.sweep import emit_report_csv, run_sweep
 SWEEP_60_CSV_SHA256 = "4de9dbad9b7815f5c6e09234471eafcccb5d1fbc75d68ca017e3ef5d4ed4c3a1"
 SWEEP_20_JSON_SHA256 = "6b4fef9de9f9d9b0b6011a1845f84849654e6d84b7ce766549f24e846a2ec23a"
 SWEEP_60_JSON_SHA256 = "bbe431d53528c37107fbe9ea490eb50d1ad1067cf590b6380d7af0a498378b51"
+SWEEP_20_B_500_JSON_SHA256 = "e3f62fa720c7f40c570ea154f081d9e61e7db36f7acc4025467225707390b110"
 
 CHECK_JSON = {
     (28, 40): """\
@@ -139,6 +142,14 @@ def test_sweep_60_json_digest(tmp_path):
     out = tmp_path / "sweep.json"
     assert cli.main(["sweep", "--a-min", "2", "--a-max", "60", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_60_JSON_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_across_the_lemma_line_json_digest(tmp_path, jobs):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--a-min", "2", "--a-max", "20", "--b-max", "500", "--jobs", jobs, "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_20_B_500_JSON_SHA256
 
 
 @pytest.mark.parametrize("a, b", list(CHECK_JSON))
