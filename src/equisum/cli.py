@@ -20,10 +20,11 @@ leaves the rows already written in --out; JSON puts its summary before the
 records, so it holds their text, not the records, until the last task.
 `construct` takes a + b of at most 1000: the set has a + b + 1 points of
 a + b coordinates, and at the bound construct then verify took 0.12 s and
-1.9 s with peak RSS of 79 MB and 102 MB (a = 1, 2 CPUs, each in a fresh
-process); parsing the file sets verify's peak, since its distances need
-O(n (a+b)) memory plus one cache-sized block.  Values out of range are
-usage errors (exit 64).
+1.8 s with peak RSS of 79 MB and 82 MB (a = 1, 2 CPUs, each in a fresh
+process).  The parse converts each distinct number once, so the rows of
+that set share five floats; the 25 MB text stays alive through the
+distances, which need O(n (a+b)) memory plus one cache-sized block.
+Values out of range are usage errors (exit 64).
 `verify` takes a file of at most 32 MiB and a set of at most 1001 points,
 the most construct emits (25 MB as JSON at a = 1, b = 999).  A larger file
 is rejected as input data (exit 65) before it is parsed, and a larger set

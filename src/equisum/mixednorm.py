@@ -206,6 +206,25 @@ def _reject_constant(token: str) -> None:
     raise ValueError(f"non-finite number {token} in point set JSON")
 
 
+# A parse keeps at most this many distinct number tokens, each with its
+# float: about 0.5 MB.  The sets construct emits repeat a handful of values
+# (at most 14 distinct coordinates for every a + b <= 60, 5 at (1, 999)),
+# so nearly every token is a hit.
+_TOKEN_TABLE_SIZE = 4096
+
+
+class _TokenFloats(dict):
+    """Number token -> float for one parse.  A token seen before costs one
+    dict lookup and shares the float made for it; a new one is converted by
+    float() and kept while the table is below _TOKEN_TABLE_SIZE tokens."""
+
+    def __missing__(self, token: str) -> float:
+        value = float(token)
+        if len(self) < _TOKEN_TABLE_SIZE:
+            self[token] = value
+        return value
+
+
 # every JSON number is read as a float
 _FIELD_TYPES = {"a": float, "b": float, "lambda": float, "swapped": bool, "provenance": str}
 
@@ -216,13 +235,18 @@ def pointset_from_json(text: str) -> PointSet:
     Python's json module accepts the non-standard tokens NaN, Infinity and
     -Infinity; a point set never contains them, so they are rejected here.
     Every number is read as a float, so -0 keeps its sign and the set
-    round-trips byte for byte.  a and b must be integral numbers >= 1,
-    lambda a number, swapped a boolean and provenance a string.  A literal
-    that overflows binary64, such as 1e999, reads as infinity and is
-    rejected by PointSet, as are rows of the wrong or unequal lengths.
+    round-trips byte for byte.  Each distinct number token is converted
+    once per parse, through a table built for the call and bounded at
+    _TOKEN_TABLE_SIZE tokens, and its repeats share that float; tokens
+    past the bound are converted each time.  a and b must be integral
+    numbers >= 1, lambda a number, swapped a boolean and provenance a
+    string.  A literal that overflows binary64, such as 1e999, reads as
+    infinity and is rejected by PointSet, as are rows of the wrong or
+    unequal lengths.
     """
     try:
-        obj = json.loads(text, parse_int=float, parse_constant=_reject_constant)
+        floats = _TokenFloats().__getitem__
+        obj = json.loads(text, parse_int=floats, parse_float=floats, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

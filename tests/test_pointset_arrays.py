@@ -238,10 +238,44 @@ class TestCodecProperty:
     def test_emit_matches_reference_and_round_trips(self, s):
         text = pointset_to_json(s)
         assert text == reference_json(s)
+        # with the parse's token table at its default size, and at a size
+        # of 1, where every token after the first is converted past the cap
+        for cap in (mixednorm._TOKEN_TABLE_SIZE, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mixednorm, "_TOKEN_TABLE_SIZE", cap)
+                t = pointset_from_json(text)
+            # tobytes, not ==: -0.0 == 0.0, but the bytes keep the sign of zero
+            assert (t.X.tobytes(), t.Y.tobytes()) == (s.X.tobytes(), s.Y.tobytes()), cap
+            assert (t.a, t.b, t.lam, t.provenance, t.swapped) == (s.a, s.b, s.lam, s.provenance, s.swapped)
+            assert pointset_to_json(t) == text, cap
+
+
+class TestTokenTable:
+    def test_equal_values_from_different_tokens(self):
+        # each token is a key of its own, so -0 is not read from 0's entry
+        text = (
+            '{"a": 3, "b": 2, "lambda": 100, "swapped": false, "provenance": "", "points": ['
+            '{"x": [100, 1e2, 100.0], "y": [0, -0]}, {"x": [1e2, 100.0, 100], "y": [-0, 0]}]}'
+        )
         t = pointset_from_json(text)
-        # tobytes, not ==: -0.0 == 0.0, but the bytes keep the sign of zero
+        assert t.X.tolist() == [[100.0] * 3] * 2 and t.lam == 100.0
+        assert np.signbit(t.Y).tolist() == [[False, True], [True, False]]
+
+    def test_parse_peak_memory_and_what_it_keeps(self):
+        # rows of shared floats: a list slot per coordinate, not a float
+        s = construct(10, 300).point_set
+        text = pointset_to_json(s)
+        arrays = s.X.nbytes + s.Y.nbytes
+        tracemalloc.start()
+        try:
+            t = pointset_from_json(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert (t.X.tobytes(), t.Y.tobytes()) == (s.X.tobytes(), s.Y.tobytes())
-        assert (t.a, t.b, t.lam, t.provenance, t.swapped) == (s.a, s.b, s.lam, s.provenance, s.swapped)
+        assert peak < 3 * arrays, (peak, arrays)
+        # the table and the parsed rows are gone once the call returns
+        assert kept - arrays < 64 * 1024, (kept, arrays)
 
 
 def run_main(argv: list[str]) -> tuple[int, str]:
