@@ -20,15 +20,17 @@ leaves the rows already written in --out; JSON puts its summary before the
 records, so it holds their text, not the records, until the last task.
 `construct` takes a + b of at most 1000: the set has a + b + 1 points of
 a + b coordinates, and at the bound construct then verify took 0.12 s and
-1.8 s with peak RSS of 79 MB and 82 MB (a = 1, 2 CPUs, each in a fresh
+1.8 s with peak RSS of 79 MB and 78 MB (a = 1, 2 CPUs, each in a fresh
 process).  The parse converts each distinct number once, so the rows of
-that set share five floats; the 25 MB text stays alive through the
-distances, which need O(n (a+b)) memory plus one cache-sized block.
+that set share five floats; the 25 MB text is dropped once parsed, and the
+distances need O(n (a+b)) memory plus one cache-sized block.
 Values out of range are usage errors (exit 64).
 `verify` takes a file of at most 32 MiB and a set of at most 1001 points,
 the most construct emits (25 MB as JSON at a = 1, b = 999).  A larger file
 is rejected as input data (exit 65) before it is parsed, and a larger set
-before any distance is computed.
+before any distance is computed; so are JSON nested too deep to parse and a
+coordinate that is NaN or above MAX_COORDINATE = 1e150 in magnitude, a bound
+that keeps every distance finite and the report strict JSON.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = data.decode("utf-8")
         del data  # else the bytes stay alive, and count in peak memory, through the parse
         point_set = pointset_from_json(text)
+        del text  # the set holds what the distances need
     except (OSError, ValueError) as exc:
         raise _DataError(f"verify: cannot read point set: {exc}") from None
     if len(point_set) > MAX_CONSTRUCT_DIM + 1:

@@ -20,7 +20,8 @@ proof-step checks) evaluates its margin as integers (lo, hi, D) over one
 common denominator and resolves its sign in one integer loop, `_refine`,
 against the fixed precision floor `realnum.DEFAULT_EPS_FLOOR`.
 `check_inequality` is the one entry for the inequality: its verdict carries
-the deciding margin as those integers.  `decide` holds the rule for a pair
+the deciding margin over 2 alpha beta times the lcm, not the product, of the
+three squared bracket denominators.  `decide` holds the rule for a pair
 b > a >= 2, for `classify` and the sweep alike: a pair past the lemma line is
 answered by `lemma_certificate`, with no margin, and the inequality decides
 the rest.  No decision builds an `Enclosure`, and none a `Fraction` beyond
@@ -32,6 +33,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, NamedTuple
 
 from .realnum import DEFAULT_EPS_FLOOR, DEFAULT_EPS_START, Enclosure, Sign, enclose_sqrt, sqrt_bracket
@@ -195,22 +197,29 @@ def _accuracy(eps: Fraction, parts: int) -> int:
     return -(-parts * eps.denominator // eps.numerator)
 
 
+@lru_cache(maxsize=None)
+def _inequality_squares(c: int, m: int) -> tuple[int, ...]:
+    """(G_lo, G_hi, F1_lo, F1_hi, F2_lo, F2_hi, L): g(c)^2, f(c-1)^2 and f(c)^2
+    at accuracy m over L, the lcm of their denominators, the squares of
+    2c(c+1) 2^j, c 2^j' and (c+1) 2^j'', which share almost every factor."""
+    squares = _g_squared(c, m), _f_squared(c - 1, m), _f_squared(c, m)
+    den = lcm(*[d for _, _, d in squares])
+    return *[e * (den // d) for lo, hi, d in squares for e in (lo, hi)], den
+
+
 def _inequality_margin(p: Parameters, m: int) -> Margin:
     """g(c)^2 - d_{alpha-1}^2 f(c-1)^2 - d_{beta-1}^2 f(c)^2 at accuracy m.
 
-    d_m^2 = m/(2m+2), so d_{alpha-1}^2 is (alpha-1)/(2 alpha); with beta in
-    {0, 1} the second simplex is empty or a point and has no term.
+    d_m^2 = m/(2m+2), so d_{alpha-1}^2 is (alpha-1)/(2 alpha): the margin is
+    over 2 alpha beta L, or 2 alpha L when beta in {0, 1} (no second term).
     """
     _, _, c, alpha, beta = p
-    lo, hi, den = _g_squared(c, m)
-    y_lo, y_hi, y_den = _f_squared(c - 1, m)
-    t = 2 * alpha * y_den
-    lo, hi, den = lo * t - (alpha - 1) * y_hi * den, hi * t - (alpha - 1) * y_lo * den, den * t
-    if beta > 1:
-        y_lo, y_hi, y_den = _f_squared(c, m)
-        t = 2 * beta * y_den
-        lo, hi, den = lo * t - (beta - 1) * y_hi * den, hi * t - (beta - 1) * y_lo * den, den * t
-    return lo, hi, den
+    g_lo, g_hi, f1_lo, f1_hi, f2_lo, f2_hi, den = _inequality_squares(c, m)
+    if beta <= 1:
+        t = 2 * alpha
+        return t * g_lo - (alpha - 1) * f1_hi, t * g_hi - (alpha - 1) * f1_lo, t * den
+    t, u, v = 2 * alpha * beta, beta * (alpha - 1), alpha * (beta - 1)
+    return t * g_lo - u * f1_hi - v * f2_hi, t * g_hi - u * f1_lo - v * f2_lo, t * den
 
 
 # inequality_margin decides nothing: benchmarks/spans.py traces its name and

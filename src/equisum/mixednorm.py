@@ -23,12 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_REL_TOL = 1e-9
+# The largest coordinate magnitude of a PointSet: a squared difference is at
+# most 4e300, and a sum of the at most 2^24 of them in 32 MiB of JSON stays
+# finite, so no distance overflows and a verify report holds no Infinity.
+MAX_COORDINATE = 1e150
 
 
 class PointSet:
     """A labelled finite set of n mixed points with a target distance lam.
 
-    Point i is (X[i], Y[i]): X is an (n, a) and Y an (n, b) float64 array.
+    Point i is (X[i], Y[i]): X is an (n, a) and Y an (n, b) float64 array,
+    every coordinate finite and at most MAX_COORDINATE in magnitude.
     `swapped` records that the user's (a, b) were exchanged to reach the
     canonical orientation the construction works in.
     """
@@ -53,8 +58,9 @@ class PointSet:
             raise ValueError(
                 f"PointSet: coordinate arrays {X.shape}/{Y.shape} do not match (a={a}, b={b})"
             )
-        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-            raise ValueError("PointSet: coordinates must be finite")
+        # NaN fails both comparisons; initial=0.0 admits a set of no points
+        if not all(-MAX_COORDINATE <= M.min(initial=0.0) and M.max(initial=0.0) <= MAX_COORDINATE for M in (X, Y)):
+            raise ValueError("PointSet: coordinates must be finite and at most 1e150 in magnitude")
         self.a, self.b, self.lam = a, b, lam
         self.X, self.Y = X, Y
         self.provenance, self.swapped = provenance, swapped
@@ -240,15 +246,17 @@ def pointset_from_json(text: str) -> PointSet:
     _TOKEN_TABLE_SIZE tokens, and its repeats share that float; tokens
     past the bound are converted each time.  a and b must be integral
     numbers >= 1, lambda a number, swapped a boolean and provenance a
-    string.  A literal that overflows binary64, such as 1e999, reads as
-    infinity and is rejected by PointSet, as are rows of the wrong or
-    unequal lengths.
+    string.  JSON nested too deep to parse is a ValueError; PointSet rejects
+    rows of the wrong or unequal lengths and a coordinate above
+    MAX_COORDINATE in magnitude, such as 1e999, which reads as infinity.
     """
     try:
         floats = _TokenFloats().__getitem__
         obj = json.loads(text, parse_int=floats, parse_float=floats, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError:  # arrays or objects nested deeper than the stack
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("point set JSON must be an object")
     try:

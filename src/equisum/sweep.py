@@ -28,7 +28,7 @@ import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from decimal import Context, Decimal
+from decimal import Context
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -56,15 +56,15 @@ def margin_strings(margin: Margin) -> tuple[str, str]:
     exponent of an integer quotient is 0, so a factor common to an endpoint
     and D changes nothing: the unreduced quotient rounds as the reduced one."""
     lo, hi, den = margin
-    d, divide = Decimal(den), _MARGIN_CONTEXT.divide
-    return str(divide(Decimal(lo), d)), str(divide(Decimal(hi), d))
+    divide = _MARGIN_CONTEXT.divide  # converts each int exactly, at exponent 0
+    return str(divide(lo, den)), str(divide(hi, den))
 
 
 # fraction_to_decimal_str renders nothing in the package: benchmarks/spans.py
 # traces its name and the tests render the Fraction reference with it.
 def fraction_to_decimal_str(q: Fraction) -> str:
     """An exact rational rendered as `margin_strings` renders an endpoint."""
-    return str(_MARGIN_CONTEXT.divide(Decimal(q.numerator), Decimal(q.denominator)))
+    return str(_MARGIN_CONTEXT.divide(q.numerator, q.denominator))
 
 
 class SweepRecord(NamedTuple):

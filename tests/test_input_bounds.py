@@ -1,18 +1,20 @@
 """Out-of-range input ends in a documented exit code before any work starts:
-non-finite or mistyped point-set JSON, a file larger than verify reads and a
-set of more points than verify takes (65), construct's dimensions, --jobs,
+non-finite, too large, too deeply nested or mistyped point-set JSON, a file
+larger than verify reads and a set of more points than verify takes (65), construct's dimensions, --jobs,
 the number of sweep records (counted by run_sweep, at most
 sweep.MAX_SWEEP_RECORDS = 400,000) and verify's --rel-tol (64)."""
 
 import json
+import math
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from equisum import cli, sweep
 from equisum.constructions import construct
-from equisum.mixednorm import pointset_from_json, pointset_to_json, verify_equilateral
+from equisum.mixednorm import MAX_COORDINATE, PointSet, pointset_from_json, pointset_to_json, verify_equilateral
 
 INFINITE_LAMBDA = (
     '{"a":1,"b":1,"lambda":Infinity,"swapped":false,"provenance":"x",'
@@ -92,6 +94,74 @@ class TestNonFiniteJson:
         path.write_text(NAN_COORDINATE.replace("NaN", "1.0").replace('"lambda":2', '"lambda":1'))
         assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def opposite_pair(x: str, lam: str = "1") -> str:
+    """Two points (x, 0) and (-x, 0) in E^1 (+)_1 E^1."""
+    return (
+        '{"a":1,"b":1,"lambda":%s,"swapped":false,"provenance":"x",'
+        '"points":[{"x":[%s],"y":[0.0]},{"x":[-%s],"y":[0.0]}]}' % (lam, x, x)
+    )
+
+
+def assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+
+
+class TestCoordinateBound:
+    """A coordinate above MAX_COORDINATE in magnitude is unreadable input: at
+    +-1e308 the difference overflowed, numpy warned on stderr and the report
+    held the non-standard token Infinity."""
+
+    @pytest.mark.parametrize("x", ["1e308", "1.0000000000000002e150"])
+    def test_above_bound_exits_65(self, tmp_path, capsys, x):
+        path = tmp_path / "s.json"
+        path.write_text(opposite_pair(x))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        assert_one_error_line(capsys)
+        with pytest.raises(ValueError, match="at most 1e150"):
+            pointset_from_json(opposite_pair(x))
+
+    def test_bound_itself_is_accepted(self, tmp_path, capsys):
+        assert repr(MAX_COORDINATE) == "1e+150"
+        path = tmp_path / "s.json"
+        path.write_text(opposite_pair("1e150", lam="2e150"))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["pass"], report["max_abs_deviation"]) == (True, 0.0)
+        # the squared differences of many coordinates at the bound sum finitely
+        X = np.full((2, 1000), MAX_COORDINATE)
+        X[1] *= -1
+        report = verify_equilateral(PointSet(1000, 1, 1.0, X, np.zeros((2, 1))))
+        assert math.isfinite(report.max_abs_deviation) and not report.passed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e308])
+    def test_non_finite_or_huge_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(1, 1, 1.0, np.array([[0.0], [1.0]]), np.array([[0.0], [value]]))
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(2, 1, 1.0, np.array([[value, 0.0], [1.0, 0.0]]), np.zeros((2, 1)))
+
+    def test_empty_set_accepted(self):
+        assert len(PointSet(2, 3, 1.0, np.empty((0, 2)), np.empty((0, 3)))) == 0
+
+
+class TestDeepNesting:
+    # 100,000 levels is past any recursion depth the test's own stack leaves
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def test_exits_65_without_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(self.DEEP)
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", [DEEP, '{"points":' + DEEP + "}"], ids=["array", "in-object"])
+    def test_raises_value_error(self, text):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            pointset_from_json(text)
 
 
 class TestRelTolBound:

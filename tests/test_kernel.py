@@ -299,6 +299,35 @@ class TestIntegerDecisionMatchesReference:
         assert as_enclosure((lo, hi, den)) == enc
 
 
+@st.composite
+def wide_main_case_pairs(draw):
+    """Parameters of (a, b) with b > a >= 2, a <= 10^6 and beta not in
+    {0, 1, a}, on both sides of the lemma threshold a^2 + a."""
+    a = draw(st.integers(3, 10**6))
+    p = derive_parameters(a, draw(st.integers(a + 1, 2 * (a * a + a))))
+    assume(p.beta not in (0, 1, a))
+    return p
+
+
+class TestMarginOverTheLcm:
+    """The inequality's margin sits over 2 alpha beta times the lcm of the
+    three squared bracket denominators: the Enclosure composition's rational,
+    in integers the product of those denominators would overflow."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(p=wide_main_case_pairs())
+    @example(p=derive_parameters(28, 40))
+    @example(p=derive_parameters(10**6, 10**12 + 3 * 10**6 + 5))
+    def test_same_rational_over_a_small_denominator(self, p):
+        c, alpha, beta = p.c, p.alpha, p.beta
+        for k in (2, 20, 40, 120, 200):
+            m = 8 * 2**k  # components at eps/8 for eps = 2^-k
+            margin = _inequality_margin(p, m)
+            assert as_enclosure(margin) == composed_margin(p, Fraction(1, 2**k))
+            assert margin[2] <= 2 * alpha * beta * (4 * c * (c + 1) * m) ** 2
+            assert _inequality_margin(p, m) == margin  # read back from the (c, m) cache
+
+
 class TestGoldenSweep:
     def test_sweep_2_30_digests(self):
         # digests of the Fraction-bisection implementation's artifacts; a

@@ -203,19 +203,20 @@ def reference_json(s: PointSet) -> str:
     return head + "\n  " + body + "\n]}\n"
 
 
-# signed zeros, the smallest subnormal, the smallest normal, the largest finite
+# signed zeros, the smallest subnormal, the smallest normal, the largest
+# magnitude a set takes (MAX_COORDINATE) and the float below it
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-    1.7976931348623157e308, -1.7976931348623157e308,
+    1e150, -1e150, 9.999999999999998e149, -9.999999999999998e149,
 ]
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE = st.floats(min_value=-mixednorm.MAX_COORDINATE, max_value=mixednorm.MAX_COORDINATE)
 
 
 @st.composite
 def point_sets(draw):
     """Small sets whose coordinates repeat a few values (as constructed
     sets do), are all drawn apart, or come from signed zeros, subnormals
-    and the extremes of binary64."""
+    and the extremes a set takes."""
     n, a, b = draw(st.integers(0, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     values = draw(
         st.sampled_from(
