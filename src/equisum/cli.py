@@ -192,7 +192,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _build_parser() -> _Parser:
     # built once per process: parse_args returns a fresh Namespace and
     # error() raises, so no state carries from one main() call to the next
-    parser = _Parser(prog="equisum", description=__doc__)
+    # the help names the subcommands, channels and exit codes: the
+    # docstring's second paragraph, not its notes on bounds and costs
+    parser = _Parser(prog="equisum", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="emit an equilateral point set as JSON")

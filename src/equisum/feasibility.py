@@ -16,16 +16,21 @@ with d_m^2 = m/(2m+2) the exact squared circumradius.  The d^2 factors are
 exact rationals, so deciding the inequality reduces to the certified sign
 of a rational combination of three square-root enclosures.  Every
 certified decision here (the inequality, the threshold lemma and the
-proof-step checks) evaluates its margin as integers (lo, hi, D) over one
-common denominator and resolves its sign in one integer loop, `_refine`,
-against the fixed precision floor `realnum.DEFAULT_EPS_FLOOR`.
-`check_inequality` is the one entry for the inequality: its verdict carries
-the deciding margin over 2 alpha beta times the lcm, not the product, of the
-three squared bracket denominators.  `decide` holds the rule for a pair
-b > a >= 2, for `classify` and the sweep alike: a pair past the lemma line is
-answered by `lemma_certificate`, with no margin, and the inequality decides
-the rest.  No decision builds an `Enclosure`, and none a `Fraction` beyond
-the radicand of each cached square root.
+proof-step checks) reads one cached table per c and accuracy, `_squares`:
+g(c)^2, f(c-1)^2 and f(c)^2 over the lcm, not the product, of their squared
+bracket denominators.  Each margin is one integer expression (lo, hi, D)
+over that table (two tables for the ratio step), and one integer loop,
+`_refine`, resolves its sign against the fixed precision floor
+`realnum.DEFAULT_EPS_FLOOR`.  `check_inequality` is the one entry for the
+inequality: its verdict carries the deciding margin, over 2 alpha beta times
+the lcm, and is INDETERMINATE when the floor leaves the sign undecided.  The
+certificates (`lemma_certificate` and the `certified_*` proof steps) have
+one rule: True on a certified positive margin, False on a negative or
+undecided one; none raises.  `decide` holds the rule for a pair b > a >= 2,
+for `classify` and the sweep alike: a pair past the lemma line is answered
+by `lemma_certificate`, with no margin, and the inequality decides the rest.
+No decision builds an `Enclosure`, and none a `Fraction` beyond the radicand
+of each cached square root.
 """
 
 from __future__ import annotations
@@ -51,10 +56,6 @@ def circumradius_sq(n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"circumradius_sq: n must be >= 0, got {n}")
     return Fraction(n, 2 * n + 2)
-
-
-class IndeterminateSignError(Exception):
-    """A certified comparison reached the precision floor undecided."""
 
 
 class VerdictKind(enum.Enum):
@@ -140,37 +141,6 @@ def _one_minus_sqrt_squared(q: Fraction, m: int) -> Margin:
     return (den - s_hi) ** 2, (den - s_lo) ** 2, den * den
 
 
-# Integer forms of f_enclosure and g_enclosure for every decision.  They are
-# keyed on the integer accuracy m (2^(k+3) for the sweep's step eps = 2^-k),
-# so a lookup hashes integers: hashing a Fraction costs as much as the
-# arithmetic.
-@lru_cache(maxsize=None)
-def _f_squared(n: int, m: int) -> Margin:
-    return _one_minus_sqrt_squared(Fraction(n, n + 1), m)
-
-
-@lru_cache(maxsize=None)
-def _g_squared(c: int, m: int) -> Margin:
-    return _one_minus_sqrt_squared(g_radicand(c), m)
-
-
-def _squares_margin(x: Margin, terms: tuple[tuple[int, int, Margin], ...]) -> Margin:
-    """(lo, hi, D) of x - sum of w y over one common integer denominator.
-
-    x and each y are margins (lo, hi, D); each term is (num, den, y) with
-    weight w = num/den >= 0.  lo/D and hi/D equal, as rationals, the
-    endpoints of the `Enclosure` composition x minus each y.scale(w); nothing
-    is reduced, so no gcd is taken.
-    """
-    lo, hi, den = x
-    for num, w_den, (y_lo, y_hi, y_den) in terms:
-        t = w_den * y_den
-        lo = lo * t - num * y_hi * den
-        hi = hi * t - num * y_lo * den
-        den *= t
-    return lo, hi, den
-
-
 def _refine(margin: Callable[..., Margin], arg: object, m: int) -> tuple[Sign, int, int, int]:
     """Sign of the real that margin(arg, m) encloses, and the deciding margin.
     m = parts * N for a start eps = 1/N and doubles per round: on integers,
@@ -186,23 +156,21 @@ def _refine(margin: Callable[..., Margin], arg: object, m: int) -> tuple[Sign, i
         m *= 2
 
 
-def _product(x: Margin, y: Margin) -> Margin:
-    """(lo, hi, D) of the product of two nonnegative enclosures."""
-    return x[0] * y[0], x[1] * y[1], x[2] * y[2]
-
-
 def _accuracy(eps: Fraction, parts: int) -> int:
     """ceil(parts/eps): the `sqrt_bracket` accuracy m at which each
     component enclosure has width <= eps/parts."""
     return -(-parts * eps.denominator // eps.numerator)
 
 
+# The one integer bracket cache of every decision.  It is keyed on the
+# integer accuracy m (2^(k+3) for the sweep's step eps = 2^-k), so a lookup
+# hashes integers: hashing a Fraction costs as much as the arithmetic.
 @lru_cache(maxsize=None)
-def _inequality_squares(c: int, m: int) -> tuple[int, ...]:
+def _squares(c: int, m: int) -> tuple[int, ...]:
     """(G_lo, G_hi, F1_lo, F1_hi, F2_lo, F2_hi, L): g(c)^2, f(c-1)^2 and f(c)^2
     at accuracy m over L, the lcm of their denominators, the squares of
     2c(c+1) 2^j, c 2^j' and (c+1) 2^j'', which share almost every factor."""
-    squares = _g_squared(c, m), _f_squared(c - 1, m), _f_squared(c, m)
+    squares = [_one_minus_sqrt_squared(q, m) for q in (g_radicand(c), Fraction(c - 1, c), Fraction(c, c + 1))]
     den = lcm(*[d for _, _, d in squares])
     return *[e * (den // d) for lo, hi, d in squares for e in (lo, hi)], den
 
@@ -214,7 +182,7 @@ def _inequality_margin(p: Parameters, m: int) -> Margin:
     over 2 alpha beta L, or 2 alpha L when beta in {0, 1} (no second term).
     """
     _, _, c, alpha, beta = p
-    g_lo, g_hi, f1_lo, f1_hi, f2_lo, f2_hi, den = _inequality_squares(c, m)
+    g_lo, g_hi, f1_lo, f1_hi, f2_lo, f2_hi, den = _squares(c, m)
     if beta <= 1:
         t = 2 * alpha
         return t * g_lo - (alpha - 1) * f1_hi, t * g_hi - (alpha - 1) * f1_lo, t * den
@@ -305,40 +273,33 @@ def d2_pair_bound_holds(a: int) -> bool:
     )
 
 
-def _certify(margin: Callable[[int, int], Margin], k: int, parts: int, start: int = _START) -> bool:
-    """Certified sign of the real that margin(k, m) encloses at accuracy m.
-
-    Components are requested at eps/parts on the refinement schedule from
-    eps = 1/start.  True when the margin is certified positive, False when
-    negative; a margin still undecided at the precision floor raises
-    IndeterminateSignError.
-    """
-    sign = _refine(margin, k, parts * start)[0]
-    if sign is Sign.INDETERMINATE:
-        raise IndeterminateSignError(f"{margin.__name__} undecided at {k}")
-    return sign is Sign.POSITIVE
-
-
+# The lemma and proof-step margins, each one integer expression over
+# `_squares` tables: the same rationals as the Enclosure compositions.
 def _lemma_margin(a: int, m: int) -> Margin:
-    """g(a)^2 - ((a-1)/(a+1)) f(a-1)^2."""
-    return _squares_margin(_g_squared(a, m), ((a - 1, a + 1, _f_squared(a - 1, m)),))
+    """g(a)^2 - ((a-1)/(a+1)) f(a-1)^2, over (a+1) L(a)."""
+    g_lo, g_hi, f1_lo, f1_hi, _, _, den = _squares(a, m)
+    return (a + 1) * g_lo - (a - 1) * f1_hi, (a + 1) * g_hi - (a - 1) * f1_lo, (a + 1) * den
 
 
 def _f_step_margin(n: int, m: int) -> Margin:
-    """f(n)^2 - f(n+1)^2; both f are positive, so its sign is that of
-    f(n) - f(n+1)."""
-    return _squares_margin(_f_squared(n, m), ((1, 1, _f_squared(n + 1, m)),))
+    """f(n)^2 - f(n+1)^2, over L(n+1); both f are positive, so its sign is
+    that of f(n) - f(n+1)."""
+    _, _, f1_lo, f1_hi, f2_lo, f2_hi, den = _squares(n + 1, m)
+    return f1_lo - f2_hi, f1_hi - f2_lo, den
 
 
 def _ratio_margin(c: int, m: int) -> Margin:
-    """g(c+1)^2 f(c-1)^2 - g(c)^2 f(c)^2."""
-    lhs = _product(_g_squared(c + 1, m), _f_squared(c - 1, m))
-    return _squares_margin(lhs, ((1, 1, _product(_g_squared(c, m), _f_squared(c, m))),))
+    """g(c+1)^2 f(c-1)^2 - g(c)^2 f(c)^2, over L(c) L(c+1): f(c)^2 is F1 of
+    table c+1, so both products share that denominator."""
+    g_lo, g_hi, f1_lo, f1_hi, _, _, den = _squares(c, m)
+    g1_lo, g1_hi, f_lo, f_hi, _, _, den1 = _squares(c + 1, m)
+    return g1_lo * f1_lo - g_hi * f_hi, g1_hi * f1_hi - g_lo * f_lo, den * den1
 
 
 def _apex_margin(c: int, m: int) -> Margin:
-    """g(c)^2 - (1/2) f(c-1)^2."""
-    return _squares_margin(_g_squared(c, m), ((1, 2, _f_squared(c - 1, m)),))
+    """g(c)^2 - (1/2) f(c-1)^2, over 2 L(c)."""
+    g_lo, g_hi, f1_lo, f1_hi, _, _, den = _squares(c, m)
+    return 2 * g_lo - f1_hi, 2 * g_hi - f1_lo, 2 * den
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +309,8 @@ def lemma_certificate(a: int) -> bool:
 
     (i)  ((a-1)/(a+1)) f(a-1)^2 < g(a)^2, via enclosures;
     (ii) the exact d^2 pair bound of `d2_pair_bound_holds`.
-    False, not a raise, when (i) is undecided at the precision floor (from
-    about a = 9.8e19).
+    False when (i) is undecided at the precision floor (from about
+    a = 9.8e19), as for every certificate here.
     """
     if a < 2:
         raise ValueError(f"lemma_certificate: a must be >= 2, got {a}")
@@ -357,32 +318,36 @@ def lemma_certificate(a: int) -> bool:
 
 
 def certified_f_decreasing(n: int) -> bool:
-    """Certify f(n) > f(n+1) by separating the enclosures of their squares."""
+    """Certify f(n) > f(n+1) by separating the enclosures of their squares;
+    False when negative or undecided at the precision floor."""
     if n < 1:
         raise ValueError(f"certified_f_decreasing: n must be >= 1, got {n}")
-    return _certify(_f_step_margin, n, 2)
+    return _refine(_f_step_margin, n, 2 * _START)[0] is Sign.POSITIVE
 
 
 def certified_ratio_increasing(c: int) -> bool:
-    """Certify (g(c+1)/f(c))^2 > (g(c)/f(c-1))^2.
+    """Certify (g(c+1)/f(c))^2 > (g(c)/f(c-1))^2; False when negative or
+    undecided at the precision floor.
 
     Cross-multiplied to g(c+1)^2 f(c-1)^2 - g(c)^2 f(c)^2 > 0 so only
     products of nonnegative enclosures are needed.  The consecutive
-    difference scales like 1/c^5, so refinement starts there instead of at
-    the default.
+    difference scales like 1/c^5, so refinement starts there (components at
+    eps/16 from eps = 1/(8 c^5)) instead of at the default.
     """
     if c < 2:
         raise ValueError(f"certified_ratio_increasing: c must be >= 2, got {c}")
-    return _certify(_ratio_margin, c, 16, 8 * c**5)
+    return _refine(_ratio_margin, c, 128 * c**5)[0] is Sign.POSITIVE
 
 
 def certified_apex_inequality(c: int) -> bool:
     """Certify f(c-1)^2 < 2 g(c)^2, the solvability of the single-apex
-    offset in the beta in {1, a} constructions.
+    offset in the beta in {1, a} constructions; False when negative or
+    undecided at the precision floor.
 
     The margin behaves like 1/(8 c^2), hence the c-dependent starting
-    precision; the halving schedule below it is unchanged.
+    precision (components at eps/8 from eps = 1/(8 c^2)); the halving
+    schedule below it is unchanged.
     """
     if c < 2:
         raise ValueError(f"certified_apex_inequality: c must be >= 2, got {c}")
-    return _certify(_apex_margin, c, 8, 8 * c * c)
+    return _refine(_apex_margin, c, 64 * c * c)[0] is Sign.POSITIVE

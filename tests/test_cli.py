@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -22,6 +23,18 @@ def run_cli(*args, env_extra=None):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, env=env, timeout=300
     )
+
+
+class TestHelp:
+    def test_help_names_the_exit_codes_and_no_measurements(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0
+        text = " ".join(proc.stdout.split())  # argparse rewraps the lines
+        for command in ("construct", "verify", "check", "sweep"):
+            assert command in text
+        codes = re.findall(r"\b(\d+) [a-z]", text.split("Exit codes:")[1])
+        assert codes == ["0", "1", "2", "3", "64", "65", "73"]
+        assert "RSS" not in text and "MAX_SWEEP_RECORDS" not in text
 
 
 class TestConstruct:

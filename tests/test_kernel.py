@@ -8,21 +8,20 @@ from math import isqrt
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import pytest
-
+from equisum import feasibility
 from equisum.feasibility import (
-    IndeterminateSignError,
     VerdictKind,
     _accuracy,
     _apex_margin,
-    _certify,
-    _f_squared,
     _f_step_margin,
     _inequality_margin,
     _lemma_margin,
     _ratio_margin,
     _refine,
-    _squares_margin,
+    _squares,
+    certified_apex_inequality,
+    certified_f_decreasing,
+    certified_ratio_increasing,
     check_inequality,
     derive_parameters,
     f_enclosure,
@@ -191,12 +190,20 @@ class TestProofStepMarginsMatchComposition:
                 rhs = g_enclosure(c, e).square() * f_enclosure(c, e).square()
                 assert as_enclosure(_ratio_margin(c, _accuracy(eps, 16))) == lhs - rhs
 
-    def test_exact_zero_margin_raises(self):
-        def zero_margin(k, m):
-            return 0, 0, 1
-
-        with pytest.raises(IndeterminateSignError, match="zero_margin undecided at 5"):
-            _certify(zero_margin, 5, 8)
+    def test_exact_zero_margin_is_false(self, monkeypatch):
+        # a margin the floor cannot separate from zero certifies nothing:
+        # every certificate answers False, and none raises
+        certificates = {
+            "_f_step_margin": certified_f_decreasing,
+            "_ratio_margin": certified_ratio_increasing,
+            "_apex_margin": certified_apex_inequality,
+            "_lemma_margin": lemma_certificate.__wrapped__,
+        }
+        for margin, certificate in certificates.items():
+            assert certificate(5) is True
+            with monkeypatch.context() as patch:
+                patch.setattr(feasibility, margin, lambda k, m: (0, 0, 1))
+                assert certificate(5) is False
 
 
 KIND_OF_SIGN = {
@@ -284,7 +291,8 @@ class TestIntegerDecisionMatchesReference:
         # f(n)^2 - f(n)^2 is exactly 0: its enclosure shrinks around zero
         # until the integer floor test stops it, at the reference's round
         def zero(k, m):
-            return _squares_margin(_f_squared(k, m), ((1, 1, _f_squared(k, m)),))
+            _, _, lo, hi, _, _, den = _squares(k + 1, m)  # f(k)^2 over L(k+1)
+            return lo - hi, hi - lo, den
 
         sign, lo, hi, den = _refine(zero, n, 2 * 2**20)
         assert sign is Sign.INDETERMINATE and lo < 0 < hi
@@ -310,9 +318,10 @@ def wide_main_case_pairs(draw):
 
 
 class TestMarginOverTheLcm:
-    """The inequality's margin sits over 2 alpha beta times the lcm of the
-    three squared bracket denominators: the Enclosure composition's rational,
-    in integers the product of those denominators would overflow."""
+    """Every margin sits over the lcm L of one table's three squared bracket
+    denominators (the inequality's times 2 alpha beta, the ratio's over two
+    tables): the Enclosure composition's rational, in integers the product
+    of those denominators would overflow."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(p=wide_main_case_pairs())
@@ -326,6 +335,59 @@ class TestMarginOverTheLcm:
             assert as_enclosure(margin) == composed_margin(p, Fraction(1, 2**k))
             assert margin[2] <= 2 * alpha * beta * (4 * c * (c + 1) * m) ** 2
             assert _inequality_margin(p, m) == margin  # read back from the (c, m) cache
+
+    # the lemma and proof-step margins read the same (c, m) tables; each sits
+    # over at most a small multiple of m^2 (m^4 for the ratio's two tables)
+    ARGUMENTS = st.integers(2, 10**6)
+
+    @staticmethod
+    def accuracies():
+        # m = 8 * 2^k with the squared Enclosures f(n)^2 and g(c)^2 at
+        # eps = 1/m, the accuracy at which the margin reads its table
+        for k in (2, 20, 40, 120, 200):
+            m = 8 * 2**k
+            e = Fraction(1, m)
+            yield m, lambda n, e=e: f_enclosure(n, e).square(), lambda c, e=e: g_enclosure(c, e).square()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(a=ARGUMENTS)
+    @example(a=2)
+    @example(a=28)
+    def test_lemma(self, a):
+        for m, f2, g2 in self.accuracies():
+            margin = _lemma_margin(a, m)
+            assert as_enclosure(margin) == g2(a) - f2(a - 1).scale(Fraction(a - 1, a + 1))
+            assert margin[2] <= (a + 1) * (4 * a * (a + 1) * m) ** 2
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(c=ARGUMENTS)
+    @example(c=2)
+    @example(c=10**4)
+    def test_apex(self, c):
+        for m, f2, g2 in self.accuracies():
+            margin = _apex_margin(c, m)
+            assert as_enclosure(margin) == g2(c) - f2(c - 1).scale(Fraction(1, 2))
+            assert margin[2] <= 2 * (4 * c * (c + 1) * m) ** 2
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 10**6))
+    @example(n=1)
+    @example(n=100)
+    def test_f_step(self, n):
+        for m, f2, _ in self.accuracies():
+            margin = _f_step_margin(n, m)
+            assert as_enclosure(margin) == f2(n) - f2(n + 1)
+            assert margin[2] <= (4 * (n + 1) * (n + 2) * m) ** 2
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(c=ARGUMENTS)
+    @example(c=2)
+    @example(c=100)
+    def test_ratio(self, c):
+        for m, f2, g2 in self.accuracies():
+            margin = _ratio_margin(c, m)
+            assert as_enclosure(margin) == g2(c + 1) * f2(c - 1) - g2(c) * f2(c)
+            assert margin[2] <= (4 * c * (c + 1) * m) ** 2 * (4 * (c + 1) * (c + 2) * m) ** 2
 
 
 class TestGoldenSweep:
