@@ -19,18 +19,21 @@ records at once.  CSV is written task by task, and a sweep stopped partway
 leaves the rows already written in --out; JSON puts its summary before the
 records, so it holds their text, not the records, until the last task.
 `construct` takes a + b of at most 1000: the set has a + b + 1 points of
-a + b coordinates, and at the bound construct then verify took 0.12 s and
-1.8 s with peak RSS of 79 MB and 78 MB (a = 1, 2 CPUs, each in a fresh
-process).  The parse converts each distinct number once, so the rows of
-that set share five floats; the 25 MB text is dropped once parsed, and the
-distances need O(n (a+b)) memory plus one cache-sized block.
+a + b coordinates, and at the bound construct took 0.12 s with peak RSS of
+79 MB (a = 1, 2 CPUs, in a fresh process); verify took 1.23 s against
+2.04 s before it went one factor at a time, measured side by side, and
+peaked at 78 MB.  The parse converts each distinct number once, so the rows
+of that set share five floats; the 25 MB text is dropped once parsed, and
+the distances need O(n (a+b)) memory plus one cache-sized block and one
+chunk's distances, which cuts a band row of 500 x 999 differences along k.
 Values out of range are usage errors (exit 64).
 `verify` takes a file of at most 32 MiB and a set of at most 1001 points,
 the most construct emits (25 MB as JSON at a = 1, b = 999).  A larger file
 is rejected as input data (exit 65) before it is parsed, and a larger set
-before any distance is computed; so are JSON nested too deep to parse and a
-coordinate that is NaN or above MAX_COORDINATE = 1e150 in magnitude, a bound
-that keeps every distance finite and the report strict JSON.
+before any distance is computed; so are JSON nested too deep to parse, a
+coordinate that is a boolean, and a coordinate that is NaN or above
+MAX_COORDINATE = 1e150 in magnitude, a bound that keeps every distance
+finite and the report strict JSON.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ closed-form, so honest outputs deviate from the target distance by ~1e-15
 while any logic error yields deviations many orders of magnitude larger.
 It enumerates the pairs as a cyclic band, each pair once (twice at the
 half offset of an even n), and reads both ends of a pair through a strided
-view of each factor, so its memory is O(n * (a+b)) plus one cache-sized
-block of differences.
+view of each factor.  The band's rows go in chunks, one factor at a time,
+each factor in blocks sized from its own width, and a row wider than a
+block is cut along the offsets; so its memory is O(n * (a+b)) plus one
+cache-sized block of differences and the distances of one chunk.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -102,12 +105,25 @@ def mixed_distance(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.nda
     return float(np.linalg.norm(px - qx) + np.linalg.norm(py - qy))
 
 
-# Each block of rows holds at most about this many coordinate differences,
-# one factor at a time: 2^16 float64 is 0.5 MB, so a block stays in cache
-# (a block holds at least one row, n//2 * max(a, b) differences).  verify's
-# memory is O(n * (a+b)) for the bands plus one such block, not the
-# n x n x (a+b) of all pairs at once.
+# Each block holds at most about this many coordinate differences of one
+# factor: 2^16 float64 is 0.5 MB, so a block stays in cache.  verify's memory
+# is O(n * (a+b)) for the bands plus one such block and two arrays of one
+# chunk's distances, an eighth of a block each, not the n x n x (a+b) of all
+# pairs.
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_shape(h: int, m: int, rows: int) -> tuple[int, int]:
+    """(rows, offsets) of a block of a factor of width m, out of a chunk of
+    `rows` band rows of h offsets: the chunk's rows in the fewest even runs
+    of whole rows that fit _BLOCK_ELEMENTS, or else one row cut into the
+    fewest even spans of offsets that fit (one offset at the least).  Even
+    runs keep the scratch, the largest block, no larger than it must be."""
+    if h * m <= _BLOCK_ELEMENTS:
+        blocks = -(-rows // (_BLOCK_ELEMENTS // (h * m)))
+        return -(-rows // blocks), h
+    spans = -(-h // max(1, _BLOCK_ELEMENTS // m))
+    return 1, -(-h // spans)
 
 
 def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> VerificationReport:
@@ -125,6 +141,16 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
     has its sign flipped, which squaring removes, and each norm is the
     contiguous last-axis reduction np.linalg.norm makes over the n x n
     tensor, so every distance has the same bits whatever the block size.
+
+    The band's rows go a chunk at a time, one factor at a time: the first
+    factor's norms are written into the chunk's distances and the second's
+    added, nX + nY having the bits of (0 + nX) + nY.  Each factor goes in
+    blocks sized from its own width (_block_shape); a row wider than a
+    block is cut along k, which leaves each pair's reduction over the
+    coordinates whole.  The deviation, its maximum and the tie key are then
+    computed once per chunk.  The blocks, the chunk's distances and its
+    tie mask are allocated once, before the scan (the distances and the
+    blocks in one buffer), and the scan writes into them through out=.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"verify_equilateral: rel_tol must be positive and finite, got {rel_tol}")
@@ -140,25 +166,52 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
         M2 = np.concatenate([M, M[:h]])
         step, item = M2.strides
         bands.append((M, np.ndarray((n, h, M.shape[1]), M2.dtype, M2, step, (step, step, item))))
-    rows = max(1, _BLOCK_ELEMENTS // (h * max(s.a, s.b)))
-    scratch = np.empty(min(rows, n) * h * max(s.a, s.b))
+    # each of a chunk's two arrays of distances is at most an eighth of a block
+    rows = min(max(1, _BLOCK_ELEMENTS // (8 * h)), n)
+    shapes = [_block_shape(h, m, rows) for m in (s.a, s.b)]
+    buf = np.empty(2 * rows * h + max(r * k * m for (r, k), m in zip(shapes, (s.a, s.b))))
+    dists, scratch = buf[: 2 * rows * h].reshape(2, rows, h), buf[2 * rows * h :]
+    mask = np.empty((rows, h), dtype=bool)
     max_dev, worst = -1.0, 0
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        dist = np.zeros((i1 - i0, h))
-        for M, W in bands:
-            d = scratch[: dist.size * M.shape[1]].reshape(i1 - i0, h, M.shape[1])
-            np.subtract(M[i0:i1, None, :], W[i0:i1], out=d)
-            d *= d
-            dist += np.sqrt(np.add.reduce(d, axis=2))
-        dev = np.abs(dist - s.lam)
-        top = dev.max()
+    for c0 in range(0, n, rows):
+        c1 = min(c0 + rows, n)
+        DN, T = dists[:, : c1 - c0], mask[: c1 - c0]
+        D, N = DN
+        for out, (M, W), (block_rows, offsets) in zip(DN, bands, shapes):
+            m = M.shape[1]
+            for k0 in range(0, h, offsets):
+                k1 = min(k0 + offsets, h)
+                for r0 in range(c0, c1, block_rows):
+                    r1 = min(r0 + block_rows, c1)
+                    d = scratch[: (r1 - r0) * (k1 - k0) * m].reshape(r1 - r0, k1 - k0, m)
+                    # M[i] - W[i, k] from a copy of M[i]: numpy runs a
+                    # subtraction that broadcasts slower, through a buffer
+                    np.copyto(d, M[r0:r1, None])
+                    np.subtract(d, W[r0:r1, k0:k1], out=d)
+                    np.multiply(d, d, out=d)
+                    np.add.reduce(d, axis=2, out=out[r0 - c0 : r1 - c0, k0:k1])
+        np.sqrt(DN, out=DN)
+        np.add(D, N, out=D)
+        np.subtract(D, s.lam, out=D)
+        np.abs(D, out=D)
+        top = D.max()
         if top >= max_dev:
-            # the smallest pair (i, j), i < j, among this block's maxima,
-            # as the key i * n + j; a larger key never replaces an equal maximum
-            r, k = np.nonzero(dev == top)
-            i, j = r + i0, (r + i0 + k + 1) % n
-            key = int((np.minimum(i, j) * n + np.maximum(i, j)).min())
+            # the pairs {i, j} at this chunk's maximum, each keyed
+            # min(i, j) * (n-1) + i + j = min(i, j) * n + max(i, j) in the
+            # bytes of N, free once added: a chunk of ties allocates only
+            # their indices.  A larger key never replaces an equal maximum.
+            np.equal(D, top, out=T)
+            i, j = np.nonzero(T)
+            np.add(j, c0 + 1, out=j)
+            np.add(j, i, out=j)
+            np.add(i, c0, out=i)
+            np.remainder(j, n, out=j)
+            keys = N.reshape(-1).view(np.int64)[: len(i)]
+            np.minimum(i, j, out=keys)
+            np.multiply(keys, n - 1, out=keys)
+            np.add(i, j, out=i)
+            np.add(keys, i, out=keys)
+            key = int(keys.min())
             if top > max_dev or key < worst:
                 max_dev, worst = float(top), key
     return VerificationReport(
@@ -231,6 +284,25 @@ class _TokenFloats(dict):
         return value
 
 
+# Both literals, true and false, end in "e", which a JSON number holds only
+# in an exponent.  A text of at most this many "e"s has its literals found by
+# str.find, which runs at memchr speed; text.count("true") takes ten times
+# as long.  The sets construct emits hold at most seven.
+_MAX_E = 16
+
+
+def _more_than_one_literal(text: str) -> bool:
+    """Whether the text may hold more than one true or false literal: True
+    past _MAX_E "e"s."""
+    found, i = 0, text.find("e")
+    for _ in range(_MAX_E):
+        if i < 0:
+            return found > 1
+        found += text.endswith("true", 0, i + 1) or text.endswith("false", 0, i + 1)
+        i = text.find("e", i + 1)
+    return True
+
+
 # every JSON number is read as a float
 _FIELD_TYPES = {"a": float, "b": float, "lambda": float, "swapped": bool, "provenance": str}
 
@@ -246,9 +318,10 @@ def pointset_from_json(text: str) -> PointSet:
     _TOKEN_TABLE_SIZE tokens, and its repeats share that float; tokens
     past the bound are converted each time.  a and b must be integral
     numbers >= 1, lambda a number, swapped a boolean and provenance a
-    string.  JSON nested too deep to parse is a ValueError; PointSet rejects
-    rows of the wrong or unequal lengths and a coordinate above
-    MAX_COORDINATE in magnitude, such as 1e999, which reads as infinity.
+    string, and every coordinate a number, not a boolean.  JSON nested too
+    deep to parse is a ValueError; PointSet rejects rows of the wrong or
+    unequal lengths and a coordinate above MAX_COORDINATE in magnitude, such
+    as 1e999, which reads as infinity.
     """
     try:
         floats = _TokenFloats().__getitem__
@@ -268,8 +341,14 @@ def pointset_from_json(text: str) -> PointSet:
         if not (a.is_integer() and b.is_integer() and min(a, b) >= 1):
             raise ValueError("point set JSON: 'a' and 'b' must be integers >= 1")
         a, b = int(a), int(b)
-        X = _stack([p["x"] for p in obj["points"]], a)
-        Y = _stack([p["y"] for p in obj["points"]], b)
+        xs, ys = [p["x"] for p in obj["points"]], [p["y"] for p in obj["points"]]
+        X, Y = _stack(xs, a), _stack(ys, b)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed point set JSON: {exc}") from exc
-    return PointSet(a, b, obj["lambda"], X, Y, obj["provenance"], obj["swapped"])
+    s = PointSet(a, b, obj["lambda"], X, Y, obj["provenance"], obj["swapped"])
+    # numpy reads a boolean among numbers as 0 or 1.  A boolean coordinate
+    # needs a literal besides swapped's, so only then are the rows, each a
+    # list of scalars once the set is built, read again
+    if _more_than_one_literal(text) and bool in set(map(type, chain(*xs, *ys))):
+        raise ValueError("point set JSON: coordinates must be numbers")
+    return s

@@ -45,6 +45,17 @@ MISTYPED_FIELDS = [
         ('"y":[1.0]},{"x":[1.0],"y":[1.0]', '"y":[false]},{"x":[1.0],"y":[true]'),
     ]
 ]
+# a boolean among numbers in a row, which numpy alone reads as 0 or 1: with
+# swapped's the only other literal, with a second literal in the text, and
+# with more "e"s than are searched one by one
+BOOLEAN_COORDINATE = FINITE_SET.replace('"y":[1.0]},{"x"', '"y":[false]},{"x"', 1)
+BOOLEAN_COORDINATES = [
+    BOOLEAN_COORDINATE,
+    BOOLEAN_COORDINATE.replace('"swapped":false', '"swapped":true'),
+    BOOLEAN_COORDINATE.replace('"provenance":"x"', '"provenance":"a true story"'),
+    BOOLEAN_COORDINATE.replace('"provenance":"x"', '"provenance":"%s"' % ("e" * 20)),
+    FINITE_SET.replace('"x":[1.0]', '"x":[true]'),
+]
 # lambda 1, but the two points are 3 + 4 = 7 apart
 FAR_PAIR = (
     '{"a":1,"b":1,"lambda":1,"swapped":false,"provenance":"x",'
@@ -53,7 +64,7 @@ FAR_PAIR = (
 
 
 class TestNonFiniteJson:
-    @pytest.mark.parametrize("text", [INFINITE_LAMBDA, NAN_COORDINATE, *MISTYPED_FIELDS])
+    @pytest.mark.parametrize("text", [INFINITE_LAMBDA, NAN_COORDINATE, *MISTYPED_FIELDS, *BOOLEAN_COORDINATES])
     def test_verify_exits_65(self, tmp_path, capsys, text):
         path = tmp_path / "s.json"
         path.write_text(text)
@@ -92,6 +103,27 @@ class TestNonFiniteJson:
     def test_finite_set_still_verifies(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(NAN_COORDINATE.replace("NaN", "1.0").replace('"lambda":2', '"lambda":1'))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+class TestBooleanCoordinate:
+    """A coordinate that is a JSON boolean exits 65 (BOOLEAN_COORDINATES in
+    TestNonFiniteJson); literals elsewhere, more than mixednorm._MAX_E
+    letters "e" or a number in exponent form leave a set readable."""
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"provenance":"x"', '"provenance":"true or false"'),
+            ('"provenance":"x"', '"provenance":"%s"' % ("e" * 20)),
+            ('"swapped":false', '"swapped":true'),
+            ('"x":[1.0]', '"x":[1e0]'),
+        ],
+    )
+    def test_literals_elsewhere_still_verify(self, tmp_path, capsys, old, new):
+        path = tmp_path / "s.json"
+        path.write_text(FINITE_SET.replace(old, new, 1))
         assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
 

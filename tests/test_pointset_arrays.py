@@ -57,8 +57,9 @@ ONE_BLOCK = 1 << 20
 
 
 class TestRowBlockVerify:
-    # budgets of 1 and 40 elements force one or a few rows per block;
-    # ONE_BLOCK takes each of these sets in a single block
+    # budgets of 1 and 40 elements cut a row into spans of offsets or hold
+    # a few rows per block; ONE_BLOCK takes each of these sets in a single
+    # block
     @pytest.mark.parametrize("budget", [1, 40, 300, ONE_BLOCK])
     def test_matches_full_tensor_on_random_sets(self, monkeypatch, budget):
         monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", budget)
@@ -94,7 +95,10 @@ class TestCyclicBand:
     through the wrap at k = n - (j - i); at even n the pairs at k = n/2 come
     from both ends."""
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, mixednorm._BLOCK_ELEMENTS])
+    # Y is four coordinates wide, so a band row of Y holds 4 * (n//2)
+    # differences: budgets below that cut each row along k, in spans of one
+    # offset (budgets 1 to 7) or two (budget 8)
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 8, mixednorm._BLOCK_ELEMENTS])
     @pytest.mark.parametrize("n", [5, 6])
     def test_tie_whose_first_pair_wraps(self, monkeypatch, budget, n):
         # points 0 and n-1 coincide, and so do 1 and 2: with lam = 100 both
@@ -102,25 +106,27 @@ class TestCyclicBand:
         # 1; the first pair, (0, n-1), only later, from row n-1 at k = 1.
         monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", budget)
         x = [0.0, 7.0, 7.0, 3.0, 5.0, 11.0][: n - 1] + [0.0]
-        s = PointSet(a=1, b=1, lam=100.0, X=[[v] for v in x], Y=[[0.0]] * n)
+        s = PointSet(a=1, b=4, lam=100.0, X=[[v] for v in x], Y=[[0.0] * 4] * n)
         report = verify_equilateral(s)
         assert report == full_tensor_report(s)
         assert report.worst_pair == (0, n - 1) and report.max_abs_deviation == 100.0
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, mixednorm._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 8, mixednorm._BLOCK_ELEMENTS])
     def test_tie_at_half_offset_from_both_ends(self, monkeypatch, budget):
         # n = 6: (0, 3) and (2, 5) are both at k = 3, and each coincides
         monkeypatch.setattr(mixednorm, "_BLOCK_ELEMENTS", budget)
         x = [0.0, 1.0, 4.0, 0.0, 9.0, 4.0]
-        s = PointSet(a=1, b=1, lam=50.0, X=[[v] for v in x], Y=[[1.0]] * 6)
+        s = PointSet(a=1, b=4, lam=50.0, X=[[v] for v in x], Y=[[1.0, 0.0, 2.0, 0.0]] * 6)
         assert verify_equilateral(s) == full_tensor_report(s)
         assert verify_equilateral(s).worst_pair == (0, 3)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("n", range(2, 10))
     def test_blocks_split_at_half(self, monkeypatch, rows, n):
-        # a budget of rows * (n // 2) * max(a, b) makes blocks of `rows`
-        # rows, so for n = 2 * rows or 2 * rows + 1 a block ends at n // 2
+        # a budget of rows * (n // 2) * max(a, b) holds `rows` band rows of
+        # the wider factor, so for n = 2 * rows or 2 * rows + 1 a block of
+        # it can end at n // 2; a chunk holds an eighth of a budget of
+        # distances, at least one row
         rng = Random(n * 10 + rows)
         for trial in range(20):
             a, b = rng.randint(1, 6), rng.randint(1, 6)
