@@ -8,14 +8,8 @@ Indeterminate outcome on a true zero.
 
 from fractions import Fraction
 
-from equisum import (
-    Enclosure,
-    Sign,
-    check_inequality,
-    derive_parameters,
-    enclose_sqrt,
-    sign_with_enclosure,
-)
+from equisum import Sign, check_inequality, derive_parameters
+from equisum.realnum import Enclosure, enclose_sqrt, sign_with_enclosure
 
 
 def main():

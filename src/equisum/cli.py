@@ -20,8 +20,7 @@ leaves the rows already written in --out; JSON puts its summary before the
 records, so it holds their text, not the records, until the last task.
 `construct` takes a + b of at most 1000: the set has a + b + 1 points of
 a + b coordinates, and at the bound construct took 0.12 s with peak RSS of
-79 MB (a = 1, 2 CPUs, in a fresh process); verify took 1.23 s against
-2.04 s before it went one factor at a time, measured side by side, and
+79 MB (a = 1, 2 CPUs, in a fresh process); verify took 1.23 s and
 peaked at 78 MB.  The parse converts each distinct number once, so the rows
 of that set share five floats; the 25 MB text is dropped once parsed, and
 the distances need O(n (a+b)) memory plus one cache-sized block and one
@@ -55,7 +54,7 @@ from .mixednorm import (
     pointset_to_json,
     verify_equilateral,
 )
-from .sweep import MAX_SWEEP_RECORDS, Sweep, emit, margin_strings  # noqa: F401
+from .sweep import Sweep, emit, margin_strings
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

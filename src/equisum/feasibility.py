@@ -16,7 +16,7 @@ with d_m^2 = m/(2m+2) the exact squared circumradius.  The d^2 factors are
 exact rationals, so deciding the inequality reduces to the certified sign
 of a rational combination of three square-root enclosures.  Every
 certified decision here (the inequality, the threshold lemma and the
-proof-step checks) reads one cached table per c and accuracy, `_squares`:
+proof-step checks) reads one table per c and accuracy, `_squares`:
 g(c)^2, f(c-1)^2 and f(c)^2 over the lcm, not the product, of their squared
 bracket denominators.  Each margin is one integer expression (lo, hi, D)
 over that table (two tables for the ratio step), and one integer loop,
@@ -162,9 +162,11 @@ def _accuracy(eps: Fraction, parts: int) -> int:
     return -(-parts * eps.denominator // eps.numerator)
 
 
-# The one integer bracket cache of every decision.  It is keyed on the
+# The one integer bracket table of every decision.  It is keyed on the
 # integer accuracy m (2^(k+3) for the sweep's step eps = 2^-k), so a lookup
-# hashes integers: hashing a Fraction costs as much as the arithmetic.
+# hashes integers: hashing a Fraction costs as much as the arithmetic.  The
+# proof steps start at accuracies no other decision reads, so they build
+# their tables through _squares.__wrapped__ and leave none in the cache.
 @lru_cache(maxsize=None)
 def _squares(c: int, m: int) -> tuple[int, ...]:
     """(G_lo, G_hi, F1_lo, F1_hi, F2_lo, F2_hi, L): g(c)^2, f(c-1)^2 and f(c)^2
@@ -284,21 +286,21 @@ def _lemma_margin(a: int, m: int) -> Margin:
 def _f_step_margin(n: int, m: int) -> Margin:
     """f(n)^2 - f(n+1)^2, over L(n+1); both f are positive, so its sign is
     that of f(n) - f(n+1)."""
-    _, _, f1_lo, f1_hi, f2_lo, f2_hi, den = _squares(n + 1, m)
+    _, _, f1_lo, f1_hi, f2_lo, f2_hi, den = _squares.__wrapped__(n + 1, m)
     return f1_lo - f2_hi, f1_hi - f2_lo, den
 
 
 def _ratio_margin(c: int, m: int) -> Margin:
     """g(c+1)^2 f(c-1)^2 - g(c)^2 f(c)^2, over L(c) L(c+1): f(c)^2 is F1 of
     table c+1, so both products share that denominator."""
-    g_lo, g_hi, f1_lo, f1_hi, _, _, den = _squares(c, m)
-    g1_lo, g1_hi, f_lo, f_hi, _, _, den1 = _squares(c + 1, m)
+    g_lo, g_hi, f1_lo, f1_hi, _, _, den = _squares.__wrapped__(c, m)
+    g1_lo, g1_hi, f_lo, f_hi, _, _, den1 = _squares.__wrapped__(c + 1, m)
     return g1_lo * f1_lo - g_hi * f_hi, g1_hi * f1_hi - g_lo * f_lo, den * den1
 
 
 def _apex_margin(c: int, m: int) -> Margin:
     """g(c)^2 - (1/2) f(c-1)^2, over 2 L(c)."""
-    g_lo, g_hi, f1_lo, f1_hi, _, _, den = _squares(c, m)
+    g_lo, g_hi, f1_lo, f1_hi, _, _, den = _squares.__wrapped__(c, m)
     return 2 * g_lo - f1_hi, 2 * g_hi - f1_lo, 2 * den
 
 

@@ -4,12 +4,12 @@ Coordinates are binary64 numpy arrays; exactness is not needed here because
 every downstream consumer checks distances against tolerances, and the
 feasibility decisions never read these coordinates.  The one exact quantity,
 the squared circumradius, is defined with the certified arithmetic it feeds.
+A block embedding takes its blocks as a plain tuple of their dimensions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,43 +49,21 @@ def regular_simplex(m: int, side: float = 1.0, ambient_dim: int | None = None) -
     return verts
 
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """Ordered decomposition of R^total_dim into orthogonal coordinate blocks."""
-
-    block_dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "block_dims", tuple(int(d) for d in self.block_dims))
-        if not self.block_dims:
-            raise ValueError("BlockLayout: at least one block required")
-        if any(d < 1 for d in self.block_dims):
-            raise ValueError(f"BlockLayout: blocks must be positive-dimensional, got {self.block_dims}")
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.block_dims)
-
-    def offset(self, block_index: int) -> int:
-        if not 0 <= block_index < len(self.block_dims):
-            raise IndexError(f"BlockLayout: no block {block_index} in {self.block_dims}")
-        return sum(self.block_dims[:block_index])
-
-
 # benchmarks/spans.py traces this name; nothing in the package calls it
-def place_in_block(v: np.ndarray, layout: BlockLayout, block_index: int) -> np.ndarray:
-    """Embed v into its block, exactly zero everywhere else.
+def place_in_block(v: np.ndarray, block_dims: tuple[int, ...], block_index: int) -> np.ndarray:
+    """Embed v into block `block_index` of R^sum(block_dims), the blocks in
+    order, exactly zero everywhere else.
 
     Vectors placed in distinct blocks have inner product exactly 0.0 because
     their supports are disjoint.
     """
     v = np.asarray(v, dtype=float)
-    dim = layout.block_dims[block_index] if 0 <= block_index < len(layout.block_dims) else None
-    if dim is None:
-        raise IndexError(f"place_in_block: no block {block_index} in {layout.block_dims}")
+    if not 0 <= block_index < len(block_dims):
+        raise IndexError(f"place_in_block: no block {block_index} in {block_dims}")
+    dim = block_dims[block_index]
     if v.shape != (dim,):
         raise ValueError(f"place_in_block: vector shape {v.shape} does not match block dim {dim}")
-    out = np.zeros(layout.total_dim)
-    off = layout.offset(block_index)
+    out = np.zeros(sum(block_dims))
+    off = sum(block_dims[:block_index])
     out[off : off + dim] = v
     return out

@@ -76,10 +76,14 @@ def _stack(rows: list, dim: int) -> np.ndarray:
     """JSON rows of equal length as an (n, len) float64 array; (0, dim) when
     there are none.  The dtype is the one numpy infers from the values, so a
     string, null or all-boolean row is rejected without a loop over the
-    coordinates.  Rows of unequal length raise ValueError."""
+    coordinates.  Rows of unequal length, and a nested or a scalar row among
+    lists, raise ValueError in those words, not numpy's."""
     if not rows:
         return np.empty((0, dim))
-    arr = np.array(rows)
+    try:
+        arr = np.array(rows)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError("point set JSON: coordinate rows must be lists of numbers of equal length") from None
     if arr.dtype != np.float64:
         raise ValueError("point set JSON: coordinates must be numbers")
     return arr
@@ -148,9 +152,7 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
     blocks sized from its own width (_block_shape); a row wider than a
     block is cut along k, which leaves each pair's reduction over the
     coordinates whole.  The deviation, its maximum and the tie key are then
-    computed once per chunk.  The blocks, the chunk's distances and its
-    tie mask are allocated once, before the scan (the distances and the
-    blocks in one buffer), and the scan writes into them through out=.
+    computed once per chunk.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"verify_equilateral: rel_tol must be positive and finite, got {rel_tol}")
@@ -171,11 +173,10 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
     shapes = [_block_shape(h, m, rows) for m in (s.a, s.b)]
     buf = np.empty(2 * rows * h + max(r * k * m for (r, k), m in zip(shapes, (s.a, s.b))))
     dists, scratch = buf[: 2 * rows * h].reshape(2, rows, h), buf[2 * rows * h :]
-    mask = np.empty((rows, h), dtype=bool)
     max_dev, worst = -1.0, 0
     for c0 in range(0, n, rows):
         c1 = min(c0 + rows, n)
-        DN, T = dists[:, : c1 - c0], mask[: c1 - c0]
+        DN = dists[:, : c1 - c0]
         D, N = DN
         for out, (M, W), (block_rows, offsets) in zip(DN, bands, shapes):
             m = M.shape[1]
@@ -197,21 +198,11 @@ def verify_equilateral(s: PointSet, rel_tol: float = DEFAULT_REL_TOL) -> Verific
         top = D.max()
         if top >= max_dev:
             # the pairs {i, j} at this chunk's maximum, each keyed
-            # min(i, j) * (n-1) + i + j = min(i, j) * n + max(i, j) in the
-            # bytes of N, free once added: a chunk of ties allocates only
-            # their indices.  A larger key never replaces an equal maximum.
-            np.equal(D, top, out=T)
-            i, j = np.nonzero(T)
-            np.add(j, c0 + 1, out=j)
-            np.add(j, i, out=j)
-            np.add(i, c0, out=i)
-            np.remainder(j, n, out=j)
-            keys = N.reshape(-1).view(np.int64)[: len(i)]
-            np.minimum(i, j, out=keys)
-            np.multiply(keys, n - 1, out=keys)
-            np.add(i, j, out=i)
-            np.add(keys, i, out=keys)
-            key = int(keys.min())
+            # min(i, j) * n + max(i, j); a larger key never replaces an
+            # equal maximum
+            r, k = np.nonzero(D == top)
+            i, j = r + c0, (r + c0 + k + 1) % n
+            key = int((np.minimum(i, j) * n + np.maximum(i, j)).min())
             if top > max_dev or key < worst:
                 max_dev, worst = float(top), key
     return VerificationReport(

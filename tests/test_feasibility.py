@@ -7,6 +7,7 @@ import pytest
 
 from equisum.feasibility import (
     VerdictKind,
+    _squares,
     certified_apex_inequality,
     certified_f_decreasing,
     certified_ratio_increasing,
@@ -241,3 +242,11 @@ class TestProofStepInequalities:
 
     def test_apex_inequality_prefix(self):
         assert all(certified_apex_inequality(c) for c in range(2, 51))
+
+    def test_proof_steps_leave_no_table_in_the_cache(self):
+        # each step starts at an accuracy no other decision reads, so a
+        # cached table of theirs would never be read again
+        _squares.cache_clear()
+        for c in range(2, 21):
+            assert certified_f_decreasing(c) and certified_ratio_increasing(c) and certified_apex_inequality(c)
+        assert _squares.cache_info().currsize == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equisum.geometry import BlockLayout, circumradius_sq, place_in_block, regular_simplex
+from equisum.geometry import circumradius_sq, place_in_block, regular_simplex
 
 
 class TestCircumradiusSq:
@@ -83,31 +83,20 @@ class TestRegularSimplex:
         assert np.array_equal(a, b)
 
 
-class TestBlockLayout:
-    def test_offsets_and_total(self):
-        layout = BlockLayout((1, 2, 3))
-        assert layout.total_dim == 6
-        assert [layout.offset(i) for i in range(3)] == [0, 1, 3]
-
-    def test_zero_dim_block_rejected(self):
-        with pytest.raises(ValueError):
-            BlockLayout((1, 0, 2))
-
+class TestPlaceInBlock:
     def test_place_examples(self):
-        layout = BlockLayout((1, 2))
-        assert np.array_equal(place_in_block(np.array([1.0]), layout, 0), [1.0, 0.0, 0.0])
-        assert np.array_equal(place_in_block(np.array([2.0, 3.0]), layout, 1), [0.0, 2.0, 3.0])
+        assert np.array_equal(place_in_block(np.array([1.0]), (1, 2), 0), [1.0, 0.0, 0.0])
+        assert np.array_equal(place_in_block(np.array([2.0, 3.0]), (1, 2), 1), [0.0, 2.0, 3.0])
 
     def test_dim_mismatch_rejected(self):
-        layout = BlockLayout((1, 2))
         with pytest.raises(ValueError):
-            place_in_block(np.array([1.0, 2.0]), layout, 0)
+            place_in_block(np.array([1.0, 2.0]), (1, 2), 0)
 
     def test_distinct_blocks_exactly_orthogonal(self):
-        layout = BlockLayout((3, 4, 2))
-        u = place_in_block(np.array([0.1, -0.7, 0.3]), layout, 0)
-        v = place_in_block(np.array([1.0, 2.0, 3.0, 4.0]), layout, 1)
-        w = place_in_block(np.array([-5.0, 0.25]), layout, 2)
+        dims = (3, 4, 2)
+        u = place_in_block(np.array([0.1, -0.7, 0.3]), dims, 0)
+        v = place_in_block(np.array([1.0, 2.0, 3.0, 4.0]), dims, 1)
+        w = place_in_block(np.array([-5.0, 0.25]), dims, 2)
         assert float(u @ v) == 0.0
         assert float(u @ w) == 0.0
         assert float(v @ w) == 0.0

@@ -196,6 +196,22 @@ class TestDeepNesting:
             pointset_from_json(text)
 
 
+class TestUnequalRows:
+    """A row of another length among the rows, a nested row and a scalar row
+    exit 65 with one plain line, not numpy's "inhomogeneous shape" text."""
+
+    @pytest.mark.parametrize(
+        "new", ['"x":[0.0,0.0]', '"x":[[0.0]]', '"x":0.0'], ids=["ragged", "nested", "scalar"]
+    )
+    def test_exits_65_naming_the_rows(self, tmp_path, capsys, new):
+        path = tmp_path / "s.json"
+        path.write_text(FINITE_SET.replace('"x":[0.0]', new, 1))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "verify: cannot read point set: point set JSON: coordinate rows must be lists of numbers of equal length\n"
+
+
 class TestRelTolBound:
     @pytest.mark.parametrize("rel_tol", ["inf", "nan", "0", "-1"])
     def test_out_of_range_exits_64(self, tmp_path, capsys, rel_tol):
@@ -349,7 +365,7 @@ class TestSweepBound:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--a-max", "2", "--b-max", str(cli.MAX_SWEEP_RECORDS + 2)],
+            ["--a-max", "2", "--b-max", str(sweep.MAX_SWEEP_RECORDS + 2)],
             ["--a-max", "105"],  # 391,300 records at the lemma line
         ],
     )
@@ -361,7 +377,7 @@ class TestSweepBound:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--a-max", "2", "--b-max", str(cli.MAX_SWEEP_RECORDS + 3)],  # one record over
+            ["--a-max", "2", "--b-max", str(sweep.MAX_SWEEP_RECORDS + 3)],  # one record over
             ["--a-max", "106"],
             ["--a-max", str(10**18)],
             ["--a-max", "2", "--b-max", str(10**12)],
@@ -372,11 +388,11 @@ class TestSweepBound:
         monkeypatch.setattr(sweep, "lemma_certificate", _reached)
         assert cli.main(["sweep", "--a-min", "2", *argv]) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
-        assert out == "" and f"more than {cli.MAX_SWEEP_RECORDS}" in err
+        assert out == "" and f"more than {sweep.MAX_SWEEP_RECORDS}" in err
 
     def test_bound_is_checked_before_any_row(self, monkeypatch):
         monkeypatch.setattr(sweep, "_rows", _reached)
-        with pytest.raises(ValueError, match=f"more than {cli.MAX_SWEEP_RECORDS}"):
+        with pytest.raises(ValueError, match=f"more than {sweep.MAX_SWEEP_RECORDS}"):
             sweep.run_sweep(2, 106)
 
     def test_no_a_at_or_past_b_max_is_visited(self, capsys):
