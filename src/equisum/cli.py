@@ -29,10 +29,10 @@ Values out of range are usage errors (exit 64).
 `verify` takes a file of at most 32 MiB and a set of at most 1001 points,
 the most construct emits (25 MB as JSON at a = 1, b = 999).  A larger file
 is rejected as input data (exit 65) before it is parsed, and a larger set
-before any distance is computed; so are JSON nested too deep to parse, a
-coordinate that is a boolean, and a coordinate that is NaN or above
-MAX_COORDINATE = 1e150 in magnitude, a bound that keeps every distance
-finite and the report strict JSON.
+before any distance is computed; so are JSON nested too deep to parse, an
+a or b above MAX_DIMENSION = 2^24, a coordinate that is a boolean, and a
+coordinate that is NaN or above MAX_COORDINATE = 1e150 in magnitude, a
+bound that keeps every distance finite and the report strict JSON.
 """
 
 from __future__ import annotations

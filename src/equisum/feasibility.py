@@ -26,9 +26,10 @@ inequality: its verdict carries the deciding margin, over 2 alpha beta times
 the lcm, and is INDETERMINATE when the floor leaves the sign undecided.  The
 certificates (`lemma_certificate` and the `certified_*` proof steps) have
 one rule: True on a certified positive margin, False on a negative or
-undecided one; none raises.  `decide` holds the rule for a pair b > a >= 2,
-for `classify` and the sweep alike: a pair past the lemma line is answered
-by `lemma_certificate`, with no margin, and the inequality decides the rest.
+undecided one; none raises.  `decide` holds the rule over a run of b for
+one a, a < b_lo <= b <= b_hi: the sweep decides a task's run, and `classify`
+a run of one pair.  A pair past the lemma line is answered by
+`lemma_certificate`, with no margin, and the inequality decides the rest.
 No decision builds an `Enclosure`, and none a `Fraction` beyond the radicand
 of each cached square root.
 """
@@ -39,7 +40,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .realnum import DEFAULT_EPS_FLOOR, DEFAULT_EPS_START, Enclosure, Sign, enclose_sqrt, sqrt_bracket
 
@@ -70,7 +71,8 @@ class VerdictKind(enum.Enum):
 
 class Parameters(NamedTuple):
     """Derived block parameters of a pair b > a >= 2: `derive_parameters`
-    builds them, the sweep derives them inline, and tests check both."""
+    builds them, checked; `decide` derives them inline for each pair of a
+    run, and tests check both."""
 
     a: int
     b: int
@@ -167,7 +169,10 @@ def _accuracy(eps: Fraction, parts: int) -> int:
 # hashes integers: hashing a Fraction costs as much as the arithmetic.  The
 # proof steps start at accuracies no other decision reads, so they build
 # their tables through _squares.__wrapped__ and leave none in the cache.
-@lru_cache(maxsize=None)
+# The bound keeps a library loop over many c from holding every table; a
+# sweep reads one table per c, and its record bound keeps c <= a <= 105
+# (c below 640 with --b-max).
+@lru_cache(maxsize=1024)
 def _squares(c: int, m: int) -> tuple[int, ...]:
     """(G_lo, G_hi, F1_lo, F1_hi, F2_lo, F2_hi, L): g(c)^2, f(c-1)^2 and f(c)^2
     at accuracy m over L, the lcm of their denominators, the squares of
@@ -229,24 +234,30 @@ def classify(a: int, b: int) -> FeasibilityVerdict:
         return FeasibilityVerdict(kind=VerdictKind.PROP2)
     if a > b:
         return FeasibilityVerdict(kind=VerdictKind.SWAP_AND_RECURSE)
-    return decide(derive_parameters(a, b))
+    return next(decide(a, b, b))
 
 
-def decide(p: Parameters) -> FeasibilityVerdict:
-    """The verdict of a pair b > a >= 2 from its parameters p.
+def decide(a: int, b_lo: int, b_hi: int) -> Iterator[FeasibilityVerdict]:
+    """The verdicts of the pairs (a, b), a < b_lo <= b <= b_hi, a >= 2, in
+    order of b.  c, alpha and beta are derived inline, as `derive_parameters`
+    derives them, without its check.
 
     beta in {0, 1, a} -> BETA_TRIVIAL; b >= a^2 + a with the lemma certified
     -> INEQUALITY_HOLDS with no margin; otherwise the certified inequality
     decides, with its margin.
     """
-    a, b, _, _, beta = p
-    # tuple.__new__ skips the Python frame of a NamedTuple's __new__; the
-    # sweep calls this once per pair
-    if beta <= 1 or beta == a:
-        return tuple.__new__(FeasibilityVerdict, (VerdictKind.BETA_TRIVIAL, p, None))
-    if b >= a * a + a and lemma_certificate(a):
-        return tuple.__new__(FeasibilityVerdict, (VerdictKind.INEQUALITY_HOLDS, p, None))
-    return check_inequality(p)
+    # tuple.__new__ skips the Python frame of a NamedTuple's __new__; a run
+    # builds two of them per pair
+    new, n, line = tuple.__new__, a + 1, a * a + a
+    for b in range(b_lo, b_hi + 1):
+        c, beta = 1 + b // n, b % n
+        p = new(Parameters, (a, b, c, n - beta, beta))
+        if beta <= 1 or beta == a:
+            yield new(FeasibilityVerdict, (VerdictKind.BETA_TRIVIAL, p, None))
+        elif b >= line and lemma_certificate(a):
+            yield new(FeasibilityVerdict, (VerdictKind.INEQUALITY_HOLDS, p, None))
+        else:
+            yield check_inequality(p)
 
 
 def lemma_applies(a: int, b: int) -> bool:
@@ -304,10 +315,10 @@ def _apex_margin(c: int, m: int) -> Margin:
     return 2 * g_lo - f1_hi, 2 * g_hi - f1_lo, 2 * den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a sweep asks for a <= 105 (below 640 with --b-max)
 def lemma_certificate(a: int) -> bool:
     """Certify the two facts behind the b >= a^2 + a threshold, once per a
-    in a process.
+    in a process, for the 1,024 a asked for last.
 
     (i)  ((a-1)/(a+1)) f(a-1)^2 < g(a)^2, via enclosures;
     (ii) the exact d^2 pair bound of `d2_pair_bound_holds`.

@@ -30,6 +30,9 @@ DEFAULT_REL_TOL = 1e-9
 # most 4e300, and a sum of the at most 2^24 of them in 32 MiB of JSON stays
 # finite, so no distance overflows and a verify report holds no Infinity.
 MAX_COORDINATE = 1e150
+# The largest a or b a point set's JSON may declare: a number and its
+# separator take at least 2 bytes, so no row in 32 MiB holds more numbers.
+MAX_DIMENSION = 2**24
 
 
 class PointSet:
@@ -308,8 +311,9 @@ def pointset_from_json(text: str) -> PointSet:
     once per parse, through a table built for the call and bounded at
     _TOKEN_TABLE_SIZE tokens, and its repeats share that float; tokens
     past the bound are converted each time.  a and b must be integral
-    numbers >= 1, lambda a number, swapped a boolean and provenance a
-    string, and every coordinate a number, not a boolean.  JSON nested too
+    numbers in [1, MAX_DIMENSION], checked before any array is built, lambda
+    a number, swapped a boolean and provenance a string, and every
+    coordinate a number, not a boolean.  JSON nested too
     deep to parse is a ValueError; PointSet rejects rows of the wrong or
     unequal lengths and a coordinate above MAX_COORDINATE in magnitude, such
     as 1e999, which reads as infinity.
@@ -331,6 +335,8 @@ def pointset_from_json(text: str) -> PointSet:
         a, b = obj["a"], obj["b"]
         if not (a.is_integer() and b.is_integer() and min(a, b) >= 1):
             raise ValueError("point set JSON: 'a' and 'b' must be integers >= 1")
+        if max(a, b) > MAX_DIMENSION:
+            raise ValueError(f"point set JSON: 'a' and 'b' must be at most {MAX_DIMENSION}")
         a, b = int(a), int(b)
         xs, ys = [p["x"] for p in obj["points"]], [p["y"] for p in obj["points"]]
         X, Y = _stack(xs, a), _stack(ys, b)

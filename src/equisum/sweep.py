@@ -4,8 +4,9 @@ Every pair is an independent pure computation.  A `Sweep` checks, counts
 and splits a range; one row builder, `_rows`, makes the records of a
 contiguous range of b for one a, and `Sweep.chunks` maps it over one task
 list in input order, serially or through a process pool, so the emitted
-artifacts are byte-identical regardless of worker count.  Each pair is
-decided by `feasibility.decide`, the rule `check` and `construct` use too:
+artifacts are byte-identical regardless of worker count.  A task's pairs
+are decided by one run of `feasibility.decide`, the rule `check` and
+`construct` use for a run of one pair, and `_rows` only renders the verdicts:
 pairs at or beyond the threshold b >= a^2 + a are answered by the lemma,
 whose certificate each process computes once per a, rather than re-decided.
 
@@ -32,7 +33,7 @@ from decimal import Context
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .feasibility import Margin, Parameters, VerdictKind, decide, lemma_certificate
+from .feasibility import Margin, VerdictKind, decide, lemma_certificate
 from .realnum import DEFAULT_EPS_FLOOR
 
 MARGIN_DIGITS = 30
@@ -81,16 +82,11 @@ class SweepRecord(NamedTuple):
 
 def _rows(task: tuple[int, int, int]) -> list[SweepRecord]:
     """The records of the pairs (a, b) of a task (a, b_lo, b_hi), a < b_lo <= b
-    <= b_hi, each decided by `decide`.  c, alpha and beta are derived inline,
-    as `derive_parameters` derives them, without its check."""
-    a, b_lo, b_hi = task
+    <= b_hi, rendered from the verdicts `decide` yields for the run."""
     new = tuple.__new__  # a NamedTuple without the Python frame of its __new__
-    n, line = a + 1, a * a + a
+    line = task[0] * task[0] + task[0]
     rows = []
-    for b in range(b_lo, b_hi + 1):
-        c, beta = 1 + b // n, b % n
-        alpha = n - beta
-        kind, _, margin = decide(new(Parameters, (a, b, c, alpha, beta)))
+    for kind, (a, b, c, alpha, beta), margin in decide(*task):
         lo, hi = (None, None) if margin is None else margin_strings(margin)
         # kind._value_, not the value property, a Python-level call
         rows.append(new(SweepRecord, (a, b, c, alpha, beta, kind._value_, lo, hi, b >= line)))

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equisum.feasibility import (
     VerdictKind,
@@ -14,6 +16,7 @@ from equisum.feasibility import (
     check_inequality,
     classify,
     d2_pair_bound_holds,
+    decide,
     derive_parameters,
     f_enclosure,
     g_enclosure,
@@ -182,6 +185,54 @@ class TestClassify:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             classify(0, 5)
+
+
+@st.composite
+def runs(draw):
+    """(a, b_lo, b_hi) with a in [2, 40] and a < b_lo <= b_hi; half of the
+    runs start within 80 of the lemma line a^2 + a, so many cross it."""
+    a = draw(st.integers(2, 40))
+    line = a * a + a
+    b_lo = draw(st.integers(a + 1, line + 20) | st.integers(max(a + 1, line - 80), line))
+    return a, b_lo, draw(st.integers(b_lo, b_lo + 100))
+
+
+class TestDecideRun:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(run=runs())
+    @example(run=(5, 6, 40))  # every b of a = 5 up to the line and past it
+    @example(run=(28, 40, 40))  # the run of one failing pair
+    def test_run_is_classify_pair_by_pair(self, run):
+        a, b_lo, b_hi = run
+        verdicts = list(decide(a, b_lo, b_hi))
+        assert verdicts == [classify(a, b) for b in range(b_lo, b_hi + 1)]
+        # the inline derivation, against the checked one
+        assert [v.params for v in verdicts] == [derive_parameters(a, b) for b in range(b_lo, b_hi + 1)]
+
+    def test_run_past_the_line_asks_the_lemma_not_the_inequality(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("equisum.feasibility.check_inequality", calls.append)
+        verdicts = list(decide(5, 30, 60))  # 30 = 5^2 + 5
+        assert calls == [] and all(v.margin is None for v in verdicts)
+        assert {v.kind for v in verdicts} == {VerdictKind.BETA_TRIVIAL, VerdictKind.INEQUALITY_HOLDS}
+
+
+class TestCacheBounds:
+    """`_squares` and `lemma_certificate` keep their last 1,024 entries.
+    Unbounded, `classify` over 20,000 distinct a left 19,998 certificates
+    and 118,562 tables in them."""
+
+    def test_lemma_loop_holds_at_most_1024_of_each(self):
+        for a in range(2, 2200):
+            lemma_certificate(a)
+        assert lemma_certificate.cache_info().currsize <= 1024
+        assert _squares.cache_info().currsize <= 1024
+
+    def test_inequality_loop_holds_at_most_1024_tables(self):
+        # c = 2, ..., 2200 at a = 3000, beta = 2
+        for c in range(2, 2201):
+            check_inequality(derive_parameters(3000, (c - 1) * 3001 + 2))
+        assert _squares.cache_info().currsize <= 1024
 
 
 class TestLemma:

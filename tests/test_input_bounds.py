@@ -1,6 +1,7 @@
 """Out-of-range input ends in a documented exit code before any work starts:
 non-finite, too large, too deeply nested or mistyped point-set JSON, a file
-larger than verify reads and a set of more points than verify takes (65), construct's dimensions, --jobs,
+larger than verify reads, a set of more points than verify takes and an a
+or b above 2^24 (65), construct's dimensions, --jobs,
 the number of sweep records (counted by run_sweep, at most
 sweep.MAX_SWEEP_RECORDS = 400,000) and verify's --rel-tol (64)."""
 
@@ -14,7 +15,7 @@ import pytest
 
 from equisum import cli, sweep
 from equisum.constructions import construct
-from equisum.mixednorm import MAX_COORDINATE, PointSet, pointset_from_json, pointset_to_json, verify_equilateral
+from equisum.mixednorm import MAX_COORDINATE, MAX_DIMENSION, PointSet, pointset_from_json, pointset_to_json, verify_equilateral
 
 INFINITE_LAMBDA = (
     '{"a":1,"b":1,"lambda":Infinity,"swapped":false,"provenance":"x",'
@@ -56,6 +57,7 @@ BOOLEAN_COORDINATES = [
     BOOLEAN_COORDINATE.replace('"provenance":"x"', '"provenance":"%s"' % ("e" * 20)),
     FINITE_SET.replace('"x":[1.0]', '"x":[true]'),
 ]
+EMPTY_SET = '{"a":1,"b":1,"lambda":1,"swapped":false,"provenance":"x","points":[]}'
 # lambda 1, but the two points are 3 + 4 = 7 apart
 FAR_PAIR = (
     '{"a":1,"b":1,"lambda":1,"swapped":false,"provenance":"x",'
@@ -210,6 +212,31 @@ class TestUnequalRows:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "verify: cannot read point set: point set JSON: coordinate rows must be lists of numbers of equal length\n"
+
+
+class TestDimensionBound:
+    """An a or b above mixednorm.MAX_DIMENSION exits 65 in plain words before
+    any array is built: with no points, 1e300 exited 65 with numpy's
+    "Maximum allowed dimension exceeded" and 1e18 passed."""
+
+    @pytest.mark.parametrize("a", ["1e300", "1e18", str(MAX_DIMENSION + 1)])
+    def test_above_bound_exits_65(self, tmp_path, capsys, a):
+        path = tmp_path / "s.json"
+        path.write_text(EMPTY_SET.replace('"a":1', '"a":' + a, 1))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"verify: cannot read point set: point set JSON: 'a' and 'b' must be at most {MAX_DIMENSION}\n"
+
+    def test_bound_itself_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(EMPTY_SET.replace('"b":1', '"b":%d' % MAX_DIMENSION, 1))
+        assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_points"] == 0
+
+    def test_no_row_of_a_readable_file_is_longer(self):
+        # each number and its separator take at least 2 bytes
+        assert cli.MAX_VERIFY_BYTES // 2 == MAX_DIMENSION
 
 
 class TestRelTolBound:

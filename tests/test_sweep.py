@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import equisum
-from equisum import cli
+from equisum import cli, feasibility
 from equisum.feasibility import VerdictKind, check_inequality, derive_parameters, lemma_applies
 from equisum.sweep import (
     CSV_HEADER,
@@ -145,6 +145,26 @@ class TestRunSweep:
         holds_covered = [r for r in report.records if r.lemma_covered and r.verdict == "InequalityHolds"]
         assert holds_covered and all(r.margin_lo is None and r.margin_hi is None for r in holds_covered)
         assert_records_match_reference(report.records)
+
+    def test_one_inequality_call_per_main_case_pair(self, monkeypatch):
+        # the tier-1 counterpart of CI's traced sweep-60 step (68,440 calls)
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return check_inequality(p)
+
+        monkeypatch.setattr(feasibility, "check_inequality", counted)
+        report = run_sweep(2, 30)
+        assert (len(calls), len(report.records)) == (8120, 9425)
+        assert calls == [derive_parameters(r.a, r.b) for r in report.records if 2 <= r.beta < r.a]
+
+    def test_sweep_60_reads_one_table_and_one_certificate_per_a(self):
+        feasibility._squares.cache_clear()
+        feasibility.lemma_certificate.cache_clear()
+        run_sweep(2, 60)
+        assert feasibility._squares.cache_info()[:2] == (68440, 59)  # (hits, misses)
+        assert feasibility.lemma_certificate.cache_info()[:2] == (0, 59)
 
     def test_parallel_serial_identical(self):
         serial = run_sweep(2, 10, jobs=1)
